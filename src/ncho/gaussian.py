@@ -70,6 +70,44 @@ class CovarianceMatrix:
         return self.matrix[:2, 2:]
 
 
+def vanishing_denominator(denom, scale):
+    """Gate: the exponent denominator is not safely positive relative to
+    its scale mu2 (w2^2 + lambda1 lambda2).  Elementwise."""
+    return denom <= 1e-12 * scale
+
+
+def nonpositive_coefficients(l11, l22):
+    """Gate: a real exponent coefficient is not positive.  Elementwise."""
+    return (l11 <= 0.0) | (l22 <= 0.0)
+
+
+def exponent_denominator(cp: CommutativeParams, lambda1, lambda2) -> tuple:
+    """(scale, denom) with scale = mu2 (w2^2 + lambda1 lambda2) and
+    denom = scale - 4 mu1 nu1^2.  Elementwise."""
+    scale = cp.mu2 * (cp.w2 * cp.w2 + lambda1 * lambda2)
+    return scale, scale - 4.0 * cp.mu1 * (cp.nu1 * cp.nu1)
+
+
+def exponent_coefficients(cp: CommutativeParams, lambda1, lambda2, denom) -> tuple:
+    """(lambda11, lambda22, y, d) over a denominator that passed its gate.
+
+    Elementwise; the formulas are those of ground_state.
+    """
+    w2s = cp.w2 * cp.w2
+    ll = lambda1 * lambda2
+    tau = 2.0 * (lambda1 + lambda2)
+    nu1s = cp.nu1 * cp.nu1
+    l11 = cp.mu1 * cp.mu2 * tau * ll / (4.0 * denom)
+    l22 = cp.mu2 * tau * (cp.mu2 * w2s - 4.0 * cp.mu1 * nu1s) / (4.0 * denom)
+    y = (
+        2.0
+        * cp.mu2
+        * (4.0 * cp.mu1 * nu1s * cp.nu2 - cp.mu2 * cp.nu2 * w2s + cp.mu1 * cp.nu1 * ll)
+        / denom
+    )
+    return l11, l22, y, 4.0 * l11 * l22 + y * y
+
+
 def ground_state(
     cp: CommutativeParams, sd: SpectralData | None = None
 ) -> GroundState:
@@ -96,40 +134,26 @@ def ground_state(
     """
     if sd is None:
         sd = spectral_data(cp)
-    w2s = cp.w2**2
-    ll = sd.lambda1 * sd.lambda2
-    tau = 2.0 * (sd.lambda1 + sd.lambda2)
-    scale = cp.mu2 * (w2s + ll)
-    denom = scale - 4.0 * cp.mu1 * cp.nu1**2
-    if denom <= 1e-12 * scale:
+    l1, l2 = sd.lambda1, sd.lambda2
+    scale, denom = exponent_denominator(cp, l1, l2)
+    if vanishing_denominator(denom, scale):
         raise DegenerateGroundState(
             f"exponent denominator {denom:.6e} vanishes (scale {scale:.6e})"
         )
-    l11 = cp.mu1 * cp.mu2 * tau * ll / (4.0 * denom)
-    l22 = cp.mu2 * tau * (cp.mu2 * w2s - 4.0 * cp.mu1 * cp.nu1**2) / (4.0 * denom)
-    if l11 <= 0.0 or l22 <= 0.0:
+    l11, l22, y, d = exponent_coefficients(cp, l1, l2, denom)
+    if nonpositive_coefficients(l11, l22):
         raise DegenerateGroundState(
             f"non-positive exponent coefficients: {l11:.6e}, {l22:.6e}"
         )
-    y = (
-        2.0
-        * cp.mu2
-        * (
-            4.0 * cp.mu1 * cp.nu1**2 * cp.nu2
-            - cp.mu2 * cp.nu2 * w2s
-            + cp.mu1 * cp.nu1 * ll
-        )
-        / denom
-    )
     return GroundState(
         lambda11=float(l11),
         lambda22=float(l22),
         lambda12_im=float(y),
         a0_mod=float((4.0 * l11 * l22 / np.pi**2) ** 0.25),
-        d=float(4.0 * l11 * l22 + y * y),
-        tau=float(tau),
+        d=float(d),
+        tau=float(2.0 * (l1 + l2)),
         denom=float(denom),
-        energy0=float(0.5 * (sd.lambda1 + sd.lambda2)),
+        energy0=float(0.5 * (l1 + l2)),
     )
 
 
@@ -147,6 +171,20 @@ def psi0(gs: GroundState, x1, x2) -> np.ndarray:
     )
 
 
+def covariance_matrix(l11, l22, y, d) -> np.ndarray:
+    """The 4x4 covariance of covariance(), stacked over leading axes when
+    the coefficients are arrays."""
+    v = np.zeros(np.shape(l11) + (4, 4))
+    t = v.T  # t[j, i] is V_ij over any leading axes; V is symmetric
+    t[0, 0] = 1.0 / (4.0 * l11)
+    t[1, 1] = d / (4.0 * l22)
+    t[2, 2] = 1.0 / (4.0 * l22)
+    t[3, 3] = d / (4.0 * l11)
+    t[0, 3] = t[3, 0] = -y / (4.0 * l11)
+    t[1, 2] = t[2, 1] = -y / (4.0 * l22)
+    return v
+
+
 def covariance(gs: GroundState) -> CovarianceMatrix:
     """Second moments of (x1, p1, x2, p2) in the ground state.
 
@@ -157,36 +195,35 @@ def covariance(gs: GroundState) -> CovarianceMatrix:
     with all other cross moments zero.  Symmetrized ordering is implied;
     first moments vanish.
     """
-    l11, l22, y, d = gs.lambda11, gs.lambda22, gs.lambda12_im, gs.d
-    v = np.array(
-        [
-            [1.0 / (4.0 * l11), 0.0, 0.0, -y / (4.0 * l11)],
-            [0.0, d / (4.0 * l22), -y / (4.0 * l22), 0.0],
-            [0.0, -y / (4.0 * l22), 1.0 / (4.0 * l22), 0.0],
-            [-y / (4.0 * l11), 0.0, 0.0, d / (4.0 * l11)],
-        ]
+    return CovarianceMatrix(
+        matrix=covariance_matrix(gs.lambda11, gs.lambda22, gs.lambda12_im, gs.d)
     )
-    return CovarianceMatrix(matrix=v)
 
 
-def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray) -> float:
+def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):
     """Smallest eigenvalue of the uncertainty matrix V - Sigma_y / 2.
 
     The canonical commutators give [X_a, X_b] = -i (Sigma_y)_ab at
     hbar = 1, so the Robertson-Schroedinger condition reads
     V - Sigma_y/2 >= 0 (the matrix is Hermitian).  Values >= -1e-10
-    count as physical.
+    count as physical.  A stack of matrices (leading axes) gives one
+    value per matrix.
     """
     m = v.matrix if isinstance(v, CovarianceMatrix) else np.asarray(v)
-    return float(np.linalg.eigvalsh(m - 0.5 * SIGMA_Y).min())
+    # eigvalsh sorts ascending: entry 0 of the last axis is the smallest
+    return np.linalg.eigvalsh(m - 0.5 * SIGMA_Y).T[0]
 
 
 def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
-    """Raise UnphysicalCovariance unless V satisfies Robertson-Schroedinger."""
+    """Raise UnphysicalCovariance unless V satisfies Robertson-Schroedinger.
+
+    For a stack of matrices every one must pass; the error reports the
+    smallest eigenvalue of the stack.
+    """
     low = rs_min_eigenvalue(v)
-    if low < -tol:
+    if (low < -tol).any():
         raise UnphysicalCovariance(
-            f"V - Sigma_y/2 has eigenvalue {low:.6e} < -{tol:.1e}"
+            f"V - Sigma_y/2 has eigenvalue {low.min():.6e} < -{tol:.1e}"
         )
 
 

@@ -75,22 +75,52 @@ class CommutativeParams:
     nu2: float
 
 
+_POSITIVE = ("m1", "m2", "wt1", "wt2", "hbar")
+_DEFORMATIONS = ("theta", "eta")
+
+
+def _inside(field: str, v):
+    """v lies in the domain of field: finite and > 0 (>= 0 for theta and
+    eta).  NaN fails both comparisons.  Elementwise on arrays."""
+    low = v >= 0.0 if field in _DEFORMATIONS else v > 0.0
+    return low & (v < np.inf)
+
+
+def _out_of_domain(p: PhysicalParams):
+    """Mask of the points of p that validate rejects.
+
+    Elementwise when fields of p are arrays (a batched scan); scalar
+    fields broadcast against them.
+    """
+    ok = True
+    for field in _POSITIVE + _DEFORMATIONS:
+        ok = ok & _inside(field, getattr(p, field))
+    return ~np.asarray(ok)
+
+
 def validate(p: PhysicalParams) -> PhysicalParams:
     """Check positivity constraints, returning p unchanged if they hold.
 
     Raises NonPositiveParameter for m1, m2, wt1, wt2 or hbar <= 0 and
-    NegativeDeformation for theta or eta < 0.  Values that are not finite
-    fail the same checks.
+    NegativeDeformation for theta or eta < 0, for the first failing field
+    in that order.  Values that are not finite fail the same checks.
+
+    Fields may be arrays of one shape (a batched scan): the error is then
+    the one the first invalid point in C (row-major) order would raise,
+    with the array value reported as a float.
     """
-    for field in ("m1", "m2", "wt1", "wt2", "hbar"):
-        v = float(getattr(p, field))
-        if not np.isfinite(v) or v <= 0.0:
-            raise NonPositiveParameter(field, getattr(p, field))
-    for field in ("theta", "eta"):
-        v = float(getattr(p, field))
-        if not np.isfinite(v) or v < 0.0:
-            raise NegativeDeformation(field, getattr(p, field))
-    return p
+    bad = _out_of_domain(p)
+    if not bad.any():
+        return p
+    i = int(np.argmax(bad))
+    for field in _POSITIVE + _DEFORMATIONS:
+        v = getattr(p, field)
+        if np.ndim(v):
+            v = float(np.broadcast_to(v, bad.shape).flat[i])
+        if not _inside(field, float(v)):
+            if field in _DEFORMATIONS:
+                raise NegativeDeformation(field, v)
+            raise NonPositiveParameter(field, v)
 
 
 def effective_planck(p: PhysicalParams) -> float:
@@ -136,17 +166,24 @@ def to_commutative(p: PhysicalParams) -> CommutativeParams:
         nu2 = (eta + m1 m2 wt1^2 theta) / (4 m2 hbar)
 
     At theta = eta = 0 this is the identity map.
+
+    The fields of p may be floats or float64 arrays of one shape (a
+    batched scan); the result then holds arrays.
     """
     validate(p)
-    h2 = 4.0 * p.hbar**2
-    inv_mu1 = 1.0 / p.m1 + p.m2 * p.wt2**2 * p.theta**2 / h2
-    inv_mu2 = 1.0 / p.m2 + p.m1 * p.wt1**2 * p.theta**2 / h2
+    h2 = 4.0 * (p.hbar * p.hbar)
+    wt1s = p.wt1 * p.wt1
+    wt2s = p.wt2 * p.wt2
+    th2 = p.theta * p.theta
+    eta2 = p.eta * p.eta
+    inv_mu1 = 1.0 / p.m1 + p.m2 * wt2s * th2 / h2
+    inv_mu2 = 1.0 / p.m2 + p.m1 * wt1s * th2 / h2
     mu1 = 1.0 / inv_mu1
     mu2 = 1.0 / inv_mu2
-    k1 = p.m1 * p.wt1**2 + p.eta**2 / (h2 * p.m2)
-    k2 = p.m2 * p.wt2**2 + p.eta**2 / (h2 * p.m1)
+    k1 = p.m1 * wt1s + eta2 / (h2 * p.m2)
+    k2 = p.m2 * wt2s + eta2 / (h2 * p.m1)
     w1 = np.sqrt(k1 / mu1)
     w2 = np.sqrt(k2 / mu2)
-    nu1 = (p.eta + p.m1 * p.m2 * p.wt2**2 * p.theta) / (4.0 * p.m1 * p.hbar)
-    nu2 = (p.eta + p.m1 * p.m2 * p.wt1**2 * p.theta) / (4.0 * p.m2 * p.hbar)
+    nu1 = (p.eta + p.m1 * p.m2 * wt2s * p.theta) / (4.0 * p.m1 * p.hbar)
+    nu2 = (p.eta + p.m1 * p.m2 * wt1s * p.theta) / (4.0 * p.m2 * p.hbar)
     return CommutativeParams(mu1=mu1, mu2=mu2, w1=w1, w2=w2, nu1=nu1, nu2=nu2)

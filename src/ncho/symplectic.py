@@ -162,11 +162,63 @@ def symplectic_residual(qf: QuadraticForm) -> float:
     )
 
 
-def spectral_data(cp: CommutativeParams, *, deg_tol: float = 1e-10) -> SpectralData:
+DEG_TOL = 1e-10
+
+
+def mode_collision(b, delta, deg_tol: float = DEG_TOL):
+    """Gate: the discriminant is below deg_tol b^2, so lambda1 ~ lambda2.
+
+    Delta / b^2 is dimensionless, so the gate does not depend on the
+    frequency scale.  Elementwise on arrays.
+    """
+    return delta < deg_tol * b * b
+
+
+def zero_mode(b, lam2sq, deg_tol: float = DEG_TOL):
+    """Gate: lambda2^2 / b is below deg_tol, a zero-frequency mode."""
+    return lam2sq < deg_tol * b
+
+
+def biquadratic(cp: CommutativeParams) -> tuple:
+    """(b, c, delta, wx2, wy2, alpha0) of lambda^4 - b lambda^2 + c.
+
+    Elementwise: the fields of cp may be floats or arrays of one shape.
+    At theta = eta = 0 (nu1 = nu2 = 0) the modes decouple: alpha0 = 1,
+    wx2 = w1^2, wy2 = w2^2.  Adding the 0/1 mask `dec` reaches those
+    values without a branch and adds an exact zero at coupled points.
+    """
+    w1s = cp.w1 * cp.w1
+    w2s = cp.w2 * cp.w2
+    nunu = cp.nu1 * cp.nu2
+    dec = nunu == 0.0
+    wx2 = (
+        4.0 * nunu * (cp.mu1 * w1s / (4.0 * cp.mu2 * (cp.nu2 * cp.nu2 + dec)) - 1.0)
+        + dec * w1s
+    )
+    wy2 = (
+        4.0 * nunu * (cp.mu2 * w2s / (4.0 * cp.mu1 * (cp.nu1 * cp.nu1 + dec)) - 1.0)
+        + dec * w2s
+    )
+    alpha0 = (cp.mu2 * cp.nu2 + dec) / (cp.mu1 * cp.nu1 + dec)
+    ra = np.sqrt(alpha0)
+    s = ra + 1.0 / ra
+    b = alpha0 * wx2 + wy2 / alpha0 + 4.0 * nunu * (s * s)
+    c = wx2 * wy2
+    return b, c, b * b - 4.0 * c, wx2, wy2, alpha0
+
+
+def squared_frequencies(b, c, delta) -> tuple:
+    """(lambda1^2, lambda2^2), the second as c / lambda1^2 to avoid
+    cancellation when c << b^2.  Elementwise."""
+    lam1sq = 0.5 * (b + np.sqrt(delta))
+    return lam1sq, c / lam1sq
+
+
+def spectral_data(cp: CommutativeParams, *, deg_tol: float = DEG_TOL) -> SpectralData:
     """Closed-form normal-mode frequencies.
 
-    With nu1 nu2 > 0 the biquadratic coefficients are written through the
-    decoupled comparison frequencies and the asymmetry ratio alpha0:
+    The biquadratic coefficients are written through the decoupled
+    comparison frequencies and the asymmetry ratio alpha0:
 
         wx2 = 4 nu1 nu2 (mu1 w1^2 / (4 mu2 nu2^2) - 1)
         wy2 = 4 nu1 nu2 (mu2 w2^2 / (4 mu1 nu1^2) - 1)
@@ -175,43 +227,29 @@ def spectral_data(cp: CommutativeParams, *, deg_tol: float = 1e-10) -> SpectralD
         c = wx2 wy2
 
     which collapses to b = w1^2 + w2^2 + 8 nu1 nu2 and
-    c = w1^2 w2^2 + 16 nu1^2 nu2^2 - 4 nu1 nu2 (mu1 w1^2/mu2 + mu2 w2^2/mu1)
-    when expanded.  The cross term in b carries coefficient 8; see
-    tests/test_symplectic.py for the oracle that pins this down.
+
+        c = w1^2 w2^2 + 16 nu1^2 nu2^2 - 4 (mu1 w1^2 nu1^2/mu2 + mu2 w2^2 nu2^2/mu1)
+
+    when expanded.  At theta = eta = 0 (nu1 = nu2 = 0) alpha0 = 1,
+    wx2 = w1^2 and wy2 = w2^2.  The cross term in b carries coefficient 8;
+    see tests/test_symplectic.py for the oracle that pins this down.
 
     lambda2 is evaluated as sqrt(2c / (b + sqrt(delta))) to avoid
     cancellation when c << b^2.
 
-    Raises DegenerateSpectrum when the discriminant (mode collision
-    lambda1 = lambda2) or lambda2^2 (zero-frequency mode) falls below
-    deg_tol * b.
+    Raises DegenerateSpectrum when the discriminant falls below
+    deg_tol * b^2 (mode collision lambda1 = lambda2) or lambda2^2 below
+    deg_tol * b (zero-frequency mode); see mode_collision and zero_mode.
     """
-    w1s = cp.w1**2
-    w2s = cp.w2**2
-    nunu = cp.nu1 * cp.nu2
-    if nunu == 0.0:
-        # theta = eta = 0: plain anisotropic oscillator
-        wx2, wy2, alpha0 = w1s, w2s, 1.0
-        b = w1s + w2s
-        c = w1s * w2s
-    else:
-        wx2 = 4.0 * nunu * (cp.mu1 * w1s / (4.0 * cp.mu2 * cp.nu2**2) - 1.0)
-        wy2 = 4.0 * nunu * (cp.mu2 * w2s / (4.0 * cp.mu1 * cp.nu1**2) - 1.0)
-        alpha0 = cp.mu2 * cp.nu2 / (cp.mu1 * cp.nu1)
-        ra = np.sqrt(alpha0)
-        b = alpha0 * wx2 + wy2 / alpha0 + 4.0 * nunu * (ra + 1.0 / ra) ** 2
-        c = wx2 * wy2
-    delta = b * b - 4.0 * c
-    gate = deg_tol * b
-    if delta < gate:
+    b, c, delta, wx2, wy2, alpha0 = biquadratic(cp)
+    if mode_collision(b, delta, deg_tol):
         raise DegenerateSpectrum(
-            f"normal modes collide: Delta = {delta:.6e} < {gate:.6e}"
+            f"normal modes collide: Delta = {delta:.6e} < {deg_tol * b * b:.6e}"
         )
-    lam1sq = 0.5 * (b + np.sqrt(delta))
-    lam2sq = c / lam1sq
-    if lam2sq < gate:
+    lam1sq, lam2sq = squared_frequencies(b, c, delta)
+    if zero_mode(b, lam2sq, deg_tol):
         raise DegenerateSpectrum(
-            f"zero-frequency mode: lambda2^2 = {lam2sq:.6e} < {gate:.6e}"
+            f"zero-frequency mode: lambda2^2 = {lam2sq:.6e} < {deg_tol * b:.6e}"
         )
     return SpectralData(
         b=float(b),

@@ -80,6 +80,29 @@ def test_simon_and_ppt_agree(rng):
         assert rep.verdict == rep.ppt_verdict
 
 
+def test_ppt_band_is_the_image_of_the_simon_band():
+    """Just off the separable surface the margin (-5.9e-14) sits inside
+    the Simon band eps_sep * rhs (1.25e-13) while ppt_min - 1/2 is
+    -2.4e-7: on this pure family 1/2 - ppt_min ~ sqrt(-margin), so the
+    PPT band must be sqrt(eps_sep * rhs) for the two verdicts to agree."""
+    p = PhysicalParams(
+        m1=1.070639976601407,
+        m2=0.7355063650452074,
+        wt1=0.9165277514496399,
+        wt2=1.3410559776096662,
+        theta=0.04535526757434246,
+        eta=0.043903613390839764,
+    )
+    rep = classify(p)
+    assert -1e-12 * rep.rhs < rep.margin < 0.0
+    assert 0.5 - rep.ppt_min > 1e-7
+    assert rep.verdict == rep.ppt_verdict == "separable"
+    assert rep.boundary
+    # well off the surface both bands agree on entangled
+    rep = classify(dataclasses.replace(p, eta=p.eta * 1.01))
+    assert rep.verdict == rep.ppt_verdict == "entangled"
+
+
 def test_simon_rejects_unphysical_covariance():
     with pytest.raises(UnphysicalCovariance):
         simon_report(0.1 * np.eye(4))

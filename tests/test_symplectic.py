@@ -10,6 +10,7 @@ from ncho import (
     assemble_eigensystem,
     build_hamiltonian,
     build_omega,
+    classify,
     energy,
     left_eigenvector,
     motion_matrix,
@@ -204,9 +205,21 @@ def test_degenerate_spectrum_raises():
 def test_degeneracy_gate_scales_with_tolerance():
     cp = cp_of(1.0, 1.0, 1.0, 1.0 + 1e-7, 0.0, 0.0)
     with pytest.raises(DegenerateSpectrum):
-        spectral_data(cp)  # delta ~ 4e-13 < 1e-10 * b
+        spectral_data(cp)  # delta ~ 4e-14 < 1e-10 * b^2
     sd = spectral_data(cp, deg_tol=1e-16)
     assert sd.lambda1 > sd.lambda2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+def test_collision_gate_is_dimensionless(scale):
+    """A fixed relative split wt2/wt1 = 1 + 3e-5 at theta = eta = 0 passes
+    the gate at every frequency scale: it compares Delta with b^2."""
+    p = PhysicalParams(1.0, 1.0, scale, scale * (1.0 + 3e-5), 0.0, 0.0)
+    sd = spectral_data(to_commutative(p))
+    assert sd.lambda1 == pytest.approx(scale * (1.0 + 3e-5), rel=1e-12)
+    assert sd.lambda2 == pytest.approx(scale, rel=1e-12)
+    rep = classify(p)
+    assert (rep.verdict, rep.boundary) == ("separable", True)
 
 
 # ---------------------------------------------------------------- eigensystem
