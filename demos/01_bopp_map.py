@@ -21,7 +21,7 @@ p = PhysicalParams(m1=1.0, m2=1.5, wt1=1.0, wt2=2.0, theta=0.1, eta=0.4)
 print("physical parameters:", p)
 
 print("\neffective Planck constant")
-print(f"  hbar_e = (1 + theta eta / 4 hbar^2) hbar = {effective_planck(p)!r}")
+print(f"  hbar_e = 1 + theta eta / 4 = {effective_planck(p)!r}   (units with hbar = 1)")
 
 cp = to_commutative(p)
 print("\ncommutative image (masses, frequencies, couplings)")
@@ -30,9 +30,9 @@ print(f"  w1  = {cp.w1:.12f}   w2  = {cp.w2:.12f}")
 print(f"  nu1 = {cp.nu1:.12f}   nu2 = {cp.nu2:.12f}")
 
 # the shift matrix T maps canonical (x1,p1,x2,p2) to the deformed set;
-# the deformed bracket table is then hbar T (i Sigma_y) T^T
+# the deformed bracket table is then T (i Sigma_y) T^T
 t = bopp_matrix(p)
-table = p.hbar * t @ I_SIGMA_Y @ t.T
+table = t @ I_SIGMA_Y @ t.T
 he = effective_planck(p)
 want = np.array(
     [

@@ -24,7 +24,7 @@ sd = spectral_data(cp)
 
 print("biquadratic coefficients")
 print(f"  b = {sd.b!r}")
-print(f"  c = {sd.c!r}   (= det H = {np.linalg.det(build_hamiltonian(cp).matrix)!r})")
+print(f"  c = {sd.c!r}   (= det H = {np.linalg.det(build_hamiltonian(cp))!r})")
 print(f"  cross part (b - w1^2 - w2^2)/(nu1 nu2) = "
       f"{(sd.b - cp.w1**2 - cp.w2**2) / (cp.nu1 * cp.nu2)!r}")
 
@@ -40,7 +40,7 @@ print(f"  |lambda1 - closed form| = {abs(lam_num[1] - sd.lambda1):.3e}")
 print(f"  |lambda2 - closed form| = {abs(lam_num[0] - sd.lambda2):.3e}")
 
 es = assemble_eigensystem(cp, sd)
-print("\neigensystem identity residuals (Q Q^-1, diagonalization, dagger, ladder)")
+print("\neigensystem identity residuals (eigenvectors, Q Q^-1, diagonalization, ladder)")
 for key, value in es.residuals.items():
     print(f"  {key:16s} {value:.3e}")
 

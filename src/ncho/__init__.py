@@ -68,15 +68,11 @@ from .separability import (
 )
 from .symplectic import (
     EigenSystem,
-    QuadraticForm,
     SpectralData,
     assemble_eigensystem,
     build_hamiltonian,
     build_omega,
-    left_eigenvector,
-    motion_matrix,
     spectral_data,
-    symplectic_residual,
 )
 from .szilard import (
     MeasurementSpec,
@@ -117,15 +113,11 @@ __all__ = [
     "effective_planck",
     "bopp_matrix",
     "to_commutative",
-    "QuadraticForm",
     "SpectralData",
     "EigenSystem",
     "build_hamiltonian",
     "build_omega",
-    "motion_matrix",
-    "symplectic_residual",
     "spectral_data",
-    "left_eigenvector",
     "assemble_eigensystem",
     "GroundState",
     "CovarianceMatrix",

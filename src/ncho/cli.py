@@ -9,7 +9,6 @@ and is byte-deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -29,9 +28,9 @@ from .errors import (
     UnphysicalCovariance,
 )
 from .gaussian import covariance, ground_state
-from .params import PhysicalParams, to_commutative, validate
+from .params import PhysicalParams, to_commutative
 from .report import analyze
-from .separability import AXIS_FIELDS, AxisSpec, scan
+from .separability import AXIS_FIELDS, AxisSpec, inputs_obj, json_text, scan
 from .szilard import MeasurementSpec, extractable_work
 from .wigner import (
     WignerGrid,
@@ -59,25 +58,17 @@ INTERNAL_ERRORS = (
     DegenerateForm,
 )
 
-PARAM_FLAGS = ("m1", "m2", "w1", "w2", "theta", "eta")
+PARAM_FLAGS = tuple(AXIS_FIELDS)
 
 
 def _add_param_flags(sub: argparse.ArgumentParser, *, required: bool):
     for name in PARAM_FLAGS:
         sub.add_argument(f"--{name}", type=float, required=required, default=None)
-    sub.add_argument("--hbar", type=float, default=1.0)
 
 
-def _params_from_args(args) -> PhysicalParams:
-    return PhysicalParams(
-        m1=args.m1,
-        m2=args.m2,
-        wt1=args.w1,
-        wt2=args.w2,
-        theta=args.theta,
-        eta=args.eta,
-        hbar=args.hbar,
-    )
+def _params(values) -> PhysicalParams:
+    """PhysicalParams from a mapping of CLI names to values."""
+    return PhysicalParams(**{AXIS_FIELDS[n]: values[n] for n in PARAM_FLAGS})
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -119,7 +110,7 @@ def _parse_fixed(text: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    p = _params_from_args(args)
+    p = _params(vars(args))
     rep = analyze(p, tol=args.tol, eps_sep=args.eps_sep, eps_c=args.eps_c)
     if rep.eigensystem.residuals["max"] > args.tol:
         print(
@@ -151,16 +142,7 @@ def cmd_scan(args) -> int:
             return 2
         else:
             values[name] = given
-    base = PhysicalParams(
-        m1=values["m1"],
-        m2=values["m2"],
-        wt1=values["w1"],
-        wt2=values["w2"],
-        theta=values["theta"],
-        eta=values["eta"],
-        hbar=args.hbar,
-    )
-    result = scan(base, axis1, axis2, eps_sep=args.eps_sep, eps_c=args.eps_c)
+    result = scan(_params(values), axis1, axis2, eps_sep=args.eps_sep)
     text = (
         result.json_text(pretty=args.pretty)
         if args.format == "json"
@@ -197,8 +179,7 @@ def cmd_wigner(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        p = validate(_params_from_args(args))
-        cov = covariance(ground_state(to_commutative(p)))
+        cov = covariance(ground_state(to_commutative(_params(vars(args)))))
     wf = wigner_form(cov)
     grid_spec = _parse_grid(args.grid)
     if args.marginal:
@@ -225,31 +206,20 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_szilard(args) -> int:
-    p = validate(_params_from_args(args))
+    p = _params(vars(args))
     cov = covariance(ground_state(to_commutative(p)))
     spec = MeasurementSpec(mu=args.mu, angle=args.angle, kbt=args.kbt)
     res = extractable_work(cov, spec)
     obj = {
         "version": __version__,
-        "inputs": {
-            "m1": p.m1,
-            "m2": p.m2,
-            "w1": p.wt1,
-            "w2": p.wt2,
-            "theta": p.theta,
-            "eta": p.eta,
-            "hbar": p.hbar,
-        },
+        "inputs": inputs_obj(p),
         "measurement": {"mu": res.mu, "angle": res.angle, "kbt": res.kbt},
         "det_before": res.det_before,
         "det_after": res.det_after,
         "work": res.work,
         "work_closed_form": res.work_closed_form,
     }
-    if args.pretty:
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-    else:
-        sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    sys.stdout.write(json_text(obj, pretty=args.pretty))
     return 0
 
 
@@ -275,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--axis1", required=True, metavar="name=start:stop:steps")
     s.add_argument("--axis2", default=None, metavar="name=start:stop:steps")
     s.add_argument("--eps-sep", type=float, default=1e-12)
-    s.add_argument("--eps-c", type=float, default=1e-12)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out", default=None, help="write to file instead of stdout")
     s.add_argument("--pretty", action="store_true")

@@ -53,21 +53,16 @@ class GroundState:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric covariance matrix of (x1, p1, x2, p2), V_ab = <{dXa, dXb}>/2."""
+    """Symmetric covariance matrix of (x1, p1, x2, p2), V_ab = <{dXa, dXb}>/2.
+
+    np.asarray(cov) gives the matrix, so functions that take a covariance
+    accept this record and a plain array alike.
+    """
 
     matrix: np.ndarray
 
-    @property
-    def mode1(self) -> np.ndarray:
-        return self.matrix[:2, :2]
-
-    @property
-    def mode2(self) -> np.ndarray:
-        return self.matrix[2:, 2:]
-
-    @property
-    def cross(self) -> np.ndarray:
-        return self.matrix[:2, 2:]
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
 def vanishing_denominator(denom, scale):
@@ -209,7 +204,7 @@ def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):
     count as physical.  A stack of matrices (leading axes) gives one
     value per matrix.
     """
-    m = v.matrix if isinstance(v, CovarianceMatrix) else np.asarray(v)
+    m = np.asarray(v)
     # eigvalsh sorts ascending: entry 0 of the last axis is the smallest
     return np.linalg.eigvalsh(m - 0.5 * SIGMA_Y).T[0]
 

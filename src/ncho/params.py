@@ -4,11 +4,11 @@ A two-dimensional anisotropic oscillator on a noncommutative phase space,
 
     [X1, X2] = i theta,   [P1, P2] = i eta,   [Xi, Pj] = i hbar_e delta_ij,
 
-with hbar_e = (1 + theta eta / 4 hbar^2) hbar, can be rewritten in terms of
-canonical operators (x1, p1, x2, p2) through a linear Bopp shift
+with hbar_e = 1 + theta eta / 4, can be rewritten in terms of canonical
+operators (x1, p1, x2, p2) through a linear Bopp shift
 
-    X_i = x_i - (theta / 2 hbar) eps_ij p_j,
-    P_i = p_i + (eta   / 2 hbar) eps_ij x_j.
+    X_i = x_i - (theta / 2) eps_ij p_j,
+    P_i = p_i + (eta   / 2) eps_ij x_j.
 
 Under that substitution the oscillator Hamiltonian
 
@@ -24,8 +24,8 @@ This module holds the two parameter records and the map between them.
 Everything downstream (spectrum, ground state, separability, Wigner
 function) is computed from the commutative side.
 
-Lengths are measured in units of the oscillator scale, so hbar defaults
-to 1 and all six physical inputs are plain numbers.
+Units are chosen so that hbar = 1 (every stage after the Bopp map
+assumes it), and all six physical inputs are plain numbers.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class PhysicalParams:
     wt1, wt2   : oscillator frequencies in the noncommutative variables (> 0)
     theta      : position-position deformation (>= 0)
     eta        : momentum-momentum deformation (>= 0)
-    hbar       : Planck constant (> 0), default 1
     """
 
     m1: float
@@ -54,7 +53,6 @@ class PhysicalParams:
     wt2: float
     theta: float
     eta: float
-    hbar: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ class CommutativeParams:
     nu2: float
 
 
-_POSITIVE = ("m1", "m2", "wt1", "wt2", "hbar")
+_POSITIVE = ("m1", "m2", "wt1", "wt2")
 _DEFORMATIONS = ("theta", "eta")
 
 
@@ -101,7 +99,7 @@ def _out_of_domain(p: PhysicalParams):
 def validate(p: PhysicalParams) -> PhysicalParams:
     """Check positivity constraints, returning p unchanged if they hold.
 
-    Raises NonPositiveParameter for m1, m2, wt1, wt2 or hbar <= 0 and
+    Raises NonPositiveParameter for m1, m2, wt1 or wt2 <= 0 and
     NegativeDeformation for theta or eta < 0, for the first failing field
     in that order.  Values that are not finite fail the same checks.
 
@@ -124,9 +122,9 @@ def validate(p: PhysicalParams) -> PhysicalParams:
 
 
 def effective_planck(p: PhysicalParams) -> float:
-    """Deformed Planck constant hbar_e = (1 + theta*eta/(4 hbar^2)) * hbar."""
+    """Deformed Planck constant hbar_e = 1 + theta*eta/4."""
     validate(p)
-    return (1.0 + p.theta * p.eta / (4.0 * p.hbar**2)) * p.hbar
+    return 1.0 + p.theta * p.eta / 4.0
 
 
 def bopp_matrix(p: PhysicalParams) -> np.ndarray:
@@ -135,13 +133,13 @@ def bopp_matrix(p: PhysicalParams) -> np.ndarray:
     (X1, P1, X2, P2)^T = T (x1, p1, x2, p2)^T.  T is the identity when
     theta = eta = 0.  The noncommutative brackets are reproduced through
 
-        hbar * T K T^T  with  K = [x_a, x_b] / i  of the canonical side,
+        T K T^T  with  K = [x_a, x_b] / i  of the canonical side,
 
     which is the content of test_params.test_bopp_commutators.
     """
     validate(p)
-    a = p.theta / (2.0 * p.hbar)
-    b = p.eta / (2.0 * p.hbar)
+    a = p.theta / 2.0
+    b = p.eta / 2.0
     return np.array(
         [
             [1.0, 0.0, 0.0, -a],
@@ -158,12 +156,12 @@ def to_commutative(p: PhysicalParams) -> CommutativeParams:
     Substituting the Bopp shift into the oscillator Hamiltonian and
     collecting terms gives
 
-        1/mu1 = 1/m1 + m2 wt2^2 theta^2 / 4 hbar^2
-        1/mu2 = 1/m2 + m1 wt1^2 theta^2 / 4 hbar^2
-        mu1 w1^2 = m1 wt1^2 + eta^2 / (4 hbar^2 m2)
-        mu2 w2^2 = m2 wt2^2 + eta^2 / (4 hbar^2 m1)
-        nu1 = (eta + m1 m2 wt2^2 theta) / (4 m1 hbar)
-        nu2 = (eta + m1 m2 wt1^2 theta) / (4 m2 hbar)
+        1/mu1 = 1/m1 + m2 wt2^2 theta^2 / 4
+        1/mu2 = 1/m2 + m1 wt1^2 theta^2 / 4
+        mu1 w1^2 = m1 wt1^2 + eta^2 / (4 m2)
+        mu2 w2^2 = m2 wt2^2 + eta^2 / (4 m1)
+        nu1 = (eta + m1 m2 wt2^2 theta) / (4 m1)
+        nu2 = (eta + m1 m2 wt1^2 theta) / (4 m2)
 
     At theta = eta = 0 this is the identity map.
 
@@ -171,19 +169,18 @@ def to_commutative(p: PhysicalParams) -> CommutativeParams:
     batched scan); the result then holds arrays.
     """
     validate(p)
-    h2 = 4.0 * (p.hbar * p.hbar)
     wt1s = p.wt1 * p.wt1
     wt2s = p.wt2 * p.wt2
     th2 = p.theta * p.theta
     eta2 = p.eta * p.eta
-    inv_mu1 = 1.0 / p.m1 + p.m2 * wt2s * th2 / h2
-    inv_mu2 = 1.0 / p.m2 + p.m1 * wt1s * th2 / h2
+    inv_mu1 = 1.0 / p.m1 + p.m2 * wt2s * th2 / 4.0
+    inv_mu2 = 1.0 / p.m2 + p.m1 * wt1s * th2 / 4.0
     mu1 = 1.0 / inv_mu1
     mu2 = 1.0 / inv_mu2
-    k1 = p.m1 * wt1s + eta2 / (h2 * p.m2)
-    k2 = p.m2 * wt2s + eta2 / (h2 * p.m1)
+    k1 = p.m1 * wt1s + eta2 / (4.0 * p.m2)
+    k2 = p.m2 * wt2s + eta2 / (4.0 * p.m1)
     w1 = np.sqrt(k1 / mu1)
     w2 = np.sqrt(k2 / mu2)
-    nu1 = (p.eta + p.m1 * p.m2 * wt2s * p.theta) / (4.0 * p.m1 * p.hbar)
-    nu2 = (p.eta + p.m1 * p.m2 * wt1s * p.theta) / (4.0 * p.m2 * p.hbar)
+    nu1 = (p.eta + p.m1 * p.m2 * wt2s * p.theta) / (4.0 * p.m1)
+    nu2 = (p.eta + p.m1 * p.m2 * wt1s * p.theta) / (4.0 * p.m2)
     return CommutativeParams(mu1=mu1, mu2=mu2, w1=w1, w2=w2, nu1=nu1, nu2=nu2)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 from . import __version__
@@ -22,7 +21,7 @@ from .params import (
     to_commutative,
     validate,
 )
-from .separability import SeparabilityReport, _reason, simon_report
+from .separability import SeparabilityReport, _reason, inputs_obj, json_text, simon_report
 from .symplectic import EigenSystem, SpectralData, assemble_eigensystem, spectral_data
 
 
@@ -55,15 +54,7 @@ class AnalysisReport:
                 "eps_sep": self.eps_sep,
                 "eps_c": self.eps_c,
             },
-            "inputs": {
-                "m1": p.m1,
-                "m2": p.m2,
-                "w1": p.wt1,
-                "w2": p.wt2,
-                "theta": p.theta,
-                "eta": p.eta,
-                "hbar": p.hbar,
-            },
+            "inputs": inputs_obj(p),
             "effective_planck": self.hbar_e,
             "commutative": {
                 "mu1": cp.mu1,
@@ -118,9 +109,7 @@ class AnalysisReport:
         }
 
     def json_text(self, *, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.json_obj(), indent=2) + "\n"
-        return json.dumps(self.json_obj(), separators=(",", ":")) + "\n"
+        return json_text(self.json_obj(), pretty=pretty)
 
 
 def analyze(

@@ -60,7 +60,8 @@ from .symplectic import (
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
 
-# scan axes use the CLI spellings; w1/w2 address the physical frequencies
+# scan axes and JSON inputs use the CLI spellings; w1/w2 address the
+# physical frequencies
 AXIS_FIELDS = {
     "m1": "m1",
     "m2": "m2",
@@ -69,6 +70,18 @@ AXIS_FIELDS = {
     "theta": "theta",
     "eta": "eta",
 }
+
+
+def inputs_obj(p: PhysicalParams) -> dict:
+    """The six inputs of p under their CLI names, in CLI order."""
+    return {name: getattr(p, field) for name, field in AXIS_FIELDS.items()}
+
+
+def json_text(obj, *, pretty: bool = False) -> str:
+    """obj as compact one-line JSON, or indented with pretty; ends in \\n."""
+    if pretty:
+        return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 @dataclass(frozen=True)
@@ -159,7 +172,7 @@ def ppt_oracle(v: CovarianceMatrix | np.ndarray) -> float:
     1/2 witness entanglement, and for two-mode Gaussian states the
     witness is conclusive.
     """
-    m = v.matrix if isinstance(v, CovarianceMatrix) else np.asarray(v)
+    m = np.asarray(v)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     vt = flip @ m @ flip
     return float(np.min(np.abs(np.linalg.eigvals(I_SIGMA_Y @ vt))))
@@ -170,7 +183,6 @@ def simon_report(
     *,
     eps_sep: float = 1e-12,
     ppt: bool = True,
-    check_physical: bool = True,
 ) -> SeparabilityReport:
     """Evaluate the determinant separability test on a covariance matrix.
 
@@ -181,12 +193,10 @@ def simon_report(
     |margin| <= eps_sep * rhs.  The PPT verdict uses the image of that
     band: on this pure family 1/2 - ppt_min ~ sqrt(-margin), so it reads
     separable when 1/2 - ppt_min <= sqrt(eps_sep * rhs).  Raises
-    UnphysicalCovariance when V fails the Robertson-Schroedinger check
-    (skipped with check_physical=False).
+    UnphysicalCovariance when V fails the Robertson-Schroedinger check.
     """
-    m = v.matrix if isinstance(v, CovarianceMatrix) else np.asarray(v)
-    if check_physical:
-        require_physical(m)
+    m = np.asarray(v)
+    require_physical(m)
     det1, det2, det12, trace_term = simon_terms(m)
     lhs, rhs, margin = simon_margin(det1, det2, det12, trace_term)
     ppt_min = ppt_verdict = None
@@ -286,7 +296,6 @@ class ScanResult:
     axes: tuple
     rows: list
     eps_sep: float
-    eps_c: float
 
     def counts(self) -> dict:
         return {
@@ -318,7 +327,6 @@ class ScanResult:
             "base": dataclasses.asdict(self.base),
             "axes": [dataclasses.asdict(ax) for ax in self.axes],
             "eps_sep": self.eps_sep,
-            "eps_c": self.eps_c,
             "counts": self.counts(),
             "rows": [
                 {
@@ -333,9 +341,7 @@ class ScanResult:
         }
 
     def json_text(self, *, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.json_obj(), indent=2) + "\n"
-        return json.dumps(self.json_obj(), separators=(",", ":")) + "\n"
+        return json_text(self.json_obj(), pretty=pretty)
 
 
 # grid points per batched evaluation in scan.  It bounds the working
@@ -387,7 +393,6 @@ def scan(
     axis2: AxisSpec | None = None,
     *,
     eps_sep: float = 1e-12,
-    eps_c: float = 1e-12,
 ) -> ScanResult:
     """Margin and verdict over a 1D or 2D grid of physical parameters.
 
@@ -417,6 +422,4 @@ def scan(
         )
         points = zip(*[col.tolist() for col in columns])
         rows.extend(map(ScanRow, points, *_scan_columns(p, eps_sep)))
-    return ScanResult(
-        base=base, axes=axes, rows=rows, eps_sep=eps_sep, eps_c=eps_c
-    )
+    return ScanResult(base=base, axes=axes, rows=rows, eps_sep=eps_sep)

@@ -98,7 +98,7 @@ def conditional_covariance(
     v: CovarianceMatrix | np.ndarray, gamma: np.ndarray
 ) -> np.ndarray:
     """Covariance of mode 1 after the mode-2 measurement (Schur complement)."""
-    m = v.matrix if isinstance(v, CovarianceMatrix) else np.asarray(v)
+    m = np.asarray(v)
     a = m[:2, :2]
     b = m[2:, 2:]
     c = m[:2, 2:]
@@ -139,7 +139,7 @@ def extractable_work(
     SingularMeasurement if V2 + gamma cannot be inverted.
     """
     _check_spec(spec)
-    m = v.matrix if isinstance(v, CovarianceMatrix) else np.asarray(v)
+    m = np.asarray(v)
     require_physical(m)
     gamma = measurement_covariance(spec)
     a = m[:2, :2]

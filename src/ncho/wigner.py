@@ -5,28 +5,27 @@ For the correlated Gaussian ground state the phase-space distribution
     W(Z) = (1/pi^2) integral d^2t  psi*(x - t) e^{-2 i (t1 p1 + t2 p2)}
            psi(x + t),       Z = (x1, p1, x2, p2),
 
-is again a Gaussian, W(Z) = N exp(-Z^T M Z).  The exponent matrix pairs
-each position with the momentum of the *other* mode:
+is again a Gaussian, W(Z) = N exp(-Z^T M Z).  For a pure Gaussian state
+with covariance V the exponent matrix is the congruence
 
-    x1 <-> p2 and x2 <-> p1 enter through the cross moments,
+    M = 2 Omega^T V Omega,      Omega = i Sigma_y,
 
-    M = 2 [[ <p1^2>,    0,       0,     -<p1 x2> ],
-           [   0,     <x1^2>, -<x1 p2>,    0     ],   (crossed pairing,
-           [   0,    -<x1 p2>, <p2^2>,     0     ],    see below)
-           [-<p1 x2>,   0,       0,     <x2^2>  ]]
+which equals inv(V)/2 because purity means (Omega V)^2 = -1/4, that is
+2 M V = 1 (Adesso & Illuminati, J. Phys. A 40, 7821 (2007)).  Omega
+swaps x_i and p_i within each mode, so <p1^2> sets the x1 x1 entry of
+M, <p1 x2> the x1 p2 entry, and so on.  The tests check M against
+inv(V)/2 and against the defining Fourier integral by quadrature.
 
-written here with the understanding that rows/columns follow
-(x1, p1, x2, p2).  For any covariance matrix of this family the crossed
-table is exactly inv(V)/2, so W is the standard Gaussian phase-space
-density; the tests verify both that identity and the defining Fourier
-integral by quadrature.
+The congruence needs no inverse, so it also applies to the singular
+illustration moments below, whose exponent is degenerate (det M = 0).
+A normalizable form must pass the purity check 2 M V = 1; a mixed V is
+rejected rather than given the exponent of another state.
 
 Normalization: N = sqrt(det M) / pi^2 makes the integral of W equal 1.
 The constant 2/(pi hbar^2) that is conventional in front of the
 two-mode convolution form is kept in the report as raw_prefactor; for a
-degenerate exponent (det M = 0, e.g. the built-in illustration moments
-below) the distribution is not normalizable and raw_prefactor is used
-verbatim for display.
+degenerate exponent the distribution is not normalizable and
+raw_prefactor is used verbatim for display.
 """
 
 from __future__ import annotations
@@ -38,11 +37,9 @@ import numpy as np
 
 from .errors import DegenerateForm, InvalidPlane
 from .gaussian import CovarianceMatrix
+from .symplectic import I_SIGMA_Y
 
 AXIS_INDEX = {"x1": 0, "p1": 1, "x2": 2, "p2": 3}
-
-# zero pattern shared by every covariance matrix of this family
-_FAMILY_ZEROS = ((0, 1), (0, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -132,33 +129,26 @@ class WignerGrid:
 def wigner_form(
     v: CovarianceMatrix | np.ndarray, *, deg_tol: float = 1e-12
 ) -> WignerForm:
-    """Exponent matrix of W from the covariance matrix, by crossed pairing.
+    """Exponent matrix M = 2 Omega^T V Omega of W from the covariance matrix.
 
-    Only covariance matrices with the sparsity of this family are
-    meaningful here (diagonal plus the <x1 p2> and <p1 x2> crosses); a
-    dense V raises ValueError.  det m below deg_tol (relative to the
-    diagonal scale) marks the form degenerate.
+    det M below deg_tol (relative to the diagonal scale) marks the form
+    degenerate.  A normalizable form must come from a pure state,
+    |2 M V - 1| <= 1e-9 (Frobenius norm); otherwise M is not the
+    exponent of V and ValueError is raised.
     """
-    mv = v.matrix if isinstance(v, CovarianceMatrix) else np.asarray(v)
-    scale = float(np.max(np.abs(mv)))
-    for i, j in _FAMILY_ZEROS:
-        if abs(mv[i, j]) > 1e-12 * scale or abs(mv[j, i]) > 1e-12 * scale:
-            raise ValueError(
-                "covariance matrix is outside the x1p2/p1x2 family; "
-                f"entry ({i},{j}) is not zero"
-            )
-    m = np.zeros((4, 4))
-    m[0, 0] = 2.0 * mv[1, 1]
-    m[1, 1] = 2.0 * mv[0, 0]
-    m[2, 2] = 2.0 * mv[3, 3]
-    m[3, 3] = 2.0 * mv[2, 2]
-    m[0, 3] = m[3, 0] = -2.0 * mv[1, 2]
-    m[1, 2] = m[2, 1] = -2.0 * mv[0, 3]
+    mv = np.asarray(v)
+    m = 2.0 * (I_SIGMA_Y.T @ mv @ I_SIGMA_Y)
     det = float(np.linalg.det(m))
     dscale = float(np.prod(np.diag(m))) or 1.0
     raw = 2.0 / np.pi
     if det <= deg_tol * abs(dscale):
         return WignerForm(m=m, norm=raw, raw_prefactor=raw, degenerate=True)
+    impurity = float(np.linalg.norm(2.0 * m @ mv - np.eye(4)))
+    if impurity > 1e-9:
+        raise ValueError(
+            f"covariance matrix is not that of a pure state: |2 M V - 1| = "
+            f"{impurity:.3e} > 1e-9"
+        )
     return WignerForm(
         m=m, norm=float(np.sqrt(det) / np.pi**2), raw_prefactor=raw, degenerate=False
     )
@@ -271,8 +261,8 @@ def illustration_covariance() -> CovarianceMatrix:
 
     These produce the maximally tilted exponent
     -(x1 + p2)^2 - (x2 + p1)^2, a degenerate (non-normalizable) form
-    useful for visualizing the crossed pairing.  Not the moments of any
-    physical state of this family.
+    useful for visualizing how M pairs x1 with p2 and x2 with p1.  Not
+    the moments of any physical state of this family.
     """
     v = 0.5 * np.eye(4)
     v[0, 3] = v[3, 0] = -0.5

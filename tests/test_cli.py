@@ -60,7 +60,6 @@ def test_analyze_pretty_is_same_object(capsys):
         ("--w1", "nan"),
         ("--theta", "-0.1"),
         ("--eta", "-2.0"),
-        ("--hbar", "0.0"),
     ],
 )
 def test_analyze_rejects_bad_parameters(capsys, patch):
@@ -227,6 +226,16 @@ def test_wigner_marginal_of_degenerate_form_fails(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("patch", [("--m1", "-1.0"), ("--theta", "-0.1"), ("--w2", "nan")])
+def test_wigner_rejects_bad_parameters(capsys, tmp_path, patch):
+    prefix = tmp_path / "w"
+    code, out, err = run(capsys, ["wigner", *BASE_FLAGS, *patch, "--out", str(prefix)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -264,6 +273,14 @@ def test_szilard_uncorrelated_point_yields_nothing(capsys):
     code, out, err = run(capsys, ["szilard", *flags])
     assert code == 0
     assert json.loads(out)["work"] == 0.0
+
+
+@pytest.mark.parametrize("patch", [("--m1", "-1.0"), ("--theta", "-0.1"), ("--w2", "nan")])
+def test_szilard_rejects_bad_parameters(capsys, patch):
+    code, out, err = run(capsys, ["szilard", *BASE_FLAGS, *patch])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_szilard_homodyne_rejected(capsys):

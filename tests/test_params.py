@@ -24,9 +24,9 @@ def test_validate_accepts_good_params():
     validate(PhysicalParams(1.0, 1.0, 1.0, 2.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("field", ["m1", "m2", "wt1", "wt2", "hbar"])
+@pytest.mark.parametrize("field", ["m1", "m2", "wt1", "wt2"])
 def test_validate_rejects_nonpositive(field):
-    good = dict(m1=1.0, m2=1.0, wt1=1.0, wt2=2.0, theta=0.1, eta=0.1, hbar=1.0)
+    good = dict(m1=1.0, m2=1.0, wt1=1.0, wt2=2.0, theta=0.1, eta=0.1)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(NonPositiveParameter) as err:
             validate(PhysicalParams(**{**good, field: bad}))
@@ -42,17 +42,13 @@ def test_validate_rejects_negative_deformation(field):
 
 def test_effective_planck_values():
     assert effective_planck(PhysicalParams(1, 1, 1, 2, 0.0, 0.0)) == 1.0
-    # theta eta / 4 = 1 doubles hbar
+    # theta eta / 4 = 1 doubles hbar_e
     assert effective_planck(PhysicalParams(1, 1, 1, 2, 2.0, 2.0)) == pytest.approx(
         2.0, rel=1e-15
     )
     assert effective_planck(PhysicalParams(1, 1, 1, 2, 0.1, 0.4)) == pytest.approx(
         1.01, rel=1e-15
     )
-    # scales with hbar: hbar_e = (1 + theta eta / 4 hbar^2) hbar
-    assert effective_planck(
-        PhysicalParams(1, 1, 1, 2, 2.0, 2.0, hbar=2.0)
-    ) == pytest.approx(2.5, rel=1e-15)
 
 
 def test_bopp_matrix_identity_at_zero_deformation():
@@ -61,18 +57,18 @@ def test_bopp_matrix_identity_at_zero_deformation():
 
 
 def test_bopp_matrix_hand_rows():
-    # theta = 2, hbar = 1: X1 = x1 - p2, X2 = x2 + p1
+    # theta = 2: X1 = x1 - p2, X2 = x2 + p1
     t = bopp_matrix(PhysicalParams(1, 1, 1, 2, 2.0, 0.0))
     assert np.allclose(t[0], [1, 0, 0, -1])
     assert np.allclose(t[2], [0, 1, 1, 0])
-    # eta = 1, hbar = 1: P1 = p1 + x2/2, P2 = p2 - x1/2
+    # eta = 1: P1 = p1 + x2/2, P2 = p2 - x1/2
     t = bopp_matrix(PhysicalParams(1, 1, 1, 2, 0.0, 1.0))
     assert np.allclose(t[1], [0, 1, 0.5, 0])
     assert np.allclose(t[3], [-0.5, 0, 0, 1])
 
 
 def test_bopp_commutators(rng):
-    """hbar T (iSigma_y) T^T reproduces the deformed bracket table.
+    """T (iSigma_y) T^T reproduces the deformed bracket table.
 
     Rows/columns ordered (X1, P1, X2, P2): [X1,X2] = i theta,
     [P1,P2] = i eta, [Xi,Pi] = i hbar_e.
@@ -80,10 +76,9 @@ def test_bopp_commutators(rng):
     for _ in range(1000):
         m1, m2, w1, w2 = rng.uniform(0.2, 4.0, size=4)
         th, et = rng.uniform(0.0, 2.0, size=2)
-        hbar = rng.uniform(0.5, 2.0)
-        p = PhysicalParams(m1, m2, w1, w2, th, et, hbar=hbar)
+        p = PhysicalParams(m1, m2, w1, w2, th, et)
         t = bopp_matrix(p)
-        got = hbar * t @ I_SIGMA_Y @ t.T
+        got = t @ I_SIGMA_Y @ t.T
         he = effective_planck(p)
         want = np.array(
             [
@@ -140,7 +135,7 @@ def test_coupling_bounds(rng):
 
     These inequalities make the quadratic form positive definite and the
     biquadratic coefficient c nonnegative; they hold for every validated
-    input, with equality only on the theta*eta = 4 hbar^2 surface.
+    input, with equality only on the theta*eta = 4 surface.
     """
     worst = np.inf
     for p in draw_params(rng, 2000, theta=(0.0, 1.0), eta=(0.0, 1.0)):

@@ -56,13 +56,13 @@ def assert_rows_match_classify(base, axes, res):
         assert (row.verdict, row.boundary) == (rep.verdict, rep.boundary), p
 
 
-def _centre(name, base, hbar):
+def _centre(name, base):
     """A value of axis `name` where the grid meets a special surface:
-    theta eta = 4 hbar^2 (zero mode) for theta/eta, wt1 = wt2 for w1/w2."""
+    theta eta = 4 (zero mode) for theta/eta, wt1 = wt2 for w1/w2."""
     if name == "theta":
-        return 4.0 * hbar * hbar / base.eta
+        return 4.0 / base.eta
     if name == "eta":
-        return 4.0 * hbar * hbar / base.theta
+        return 4.0 / base.theta
     if name == "w1":
         return base.wt2
     if name == "w2":
@@ -73,7 +73,6 @@ def _centre(name, base, hbar):
 @st.composite
 def grids(draw):
     pos = st.floats(0.3, 3.0)
-    hbar = draw(st.floats(0.5, 2.0).filter(lambda h: h != 1.0))
     base = PhysicalParams(
         m1=draw(pos),
         m2=draw(pos),
@@ -81,7 +80,6 @@ def grids(draw):
         wt2=draw(pos),
         theta=draw(pos),
         eta=draw(pos),
-        hbar=hbar,
     )
     # sometimes put the base itself on a degenerate surface, so that grids
     # over the masses meet it too
@@ -89,13 +87,13 @@ def grids(draw):
     if special == "equal_frequencies":
         base = dataclasses.replace(base, wt2=base.wt1)
     elif special == "zero_mode":
-        base = dataclasses.replace(base, eta=4.0 * hbar * hbar / base.theta)
+        base = dataclasses.replace(base, eta=4.0 / base.theta)
     names = draw(st.lists(st.sampled_from(AXES), min_size=1, max_size=2, unique=True))
     axes = []
     centre_of = base
     for name in names:
-        # each axis crosses theta eta = 4 hbar^2 or wt1 = wt2 at its centre
-        c = _centre(name, centre_of, hbar)
+        # each axis crosses theta eta = 4 or wt1 = wt2 at its centre
+        c = _centre(name, centre_of)
         centre_of = dataclasses.replace(centre_of, **{AXIS_FIELDS[name]: c})
         lo = c * draw(st.floats(0.2, 0.95))
         hi = c * draw(st.floats(1.05, 3.0))
@@ -118,16 +116,16 @@ def test_scan_rows_equal_classify(case):
 
 
 def test_scan_grid_crosses_special_surfaces():
-    """A fixed theta x eta grid with hbar != 1 that hits theta eta = 4
-    hbar^2 and a w1 grid that hits wt1 = wt2: degenerate and separable
-    rows both occur and match classify."""
-    base = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.0, 0.0, hbar=0.8)
+    """A fixed theta x eta grid that hits theta eta = 4 and a w1 grid that
+    hits wt1 = wt2: degenerate and separable rows both occur and match
+    classify."""
+    base = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.0, 0.0)
     axes = (AxisSpec("theta", 0.0, 3.0, 31), AxisSpec("eta", 0.0, 3.0, 31))
     res = scan(base, *axes)
     counts = res.counts()
     assert counts["degenerate"] > 0 and counts["separable"] > 0
     assert_rows_match_classify(base, axes, res)
-    base = PhysicalParams(1.0, 1.5, 1.0, 1.0, 0.3, 0.2, hbar=1.7)
+    base = PhysicalParams(1.0, 1.5, 1.0, 1.0, 0.3, 0.2)
     axes = (AxisSpec("w1", 0.5, 1.5, 11),)
     res = scan(base, *axes)
     assert res.rows[5].point == (1.0,) and res.rows[5].verdict == "separable"
@@ -139,7 +137,7 @@ def test_scan_grid_longer_than_one_chunk():
     one is short."""
     n1, n2 = 70, 61
     assert n1 * n2 > SCAN_CHUNK and (n1 * n2) % SCAN_CHUNK and SCAN_CHUNK % n2
-    base = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.1, 0.4, hbar=1.3)
+    base = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.1, 0.4)
     axes = (AxisSpec("eta", 0.0, 3.0, n1), AxisSpec("theta", 0.0, 3.0, n2))
     assert_rows_match_classify(base, axes, scan(base, *axes))
 
@@ -172,7 +170,8 @@ def first_invalid(base, axes):
         ),
         # an invalid base field fails at the first point
         (PhysicalParams(1, 1.5, 1.0, 2.0, 0.1, -1), (AxisSpec("w2", 1.0, 2.0, 3),)),
-        (PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.1, 0.4, hbar=0), (AxisSpec("eta", 0.0, 1.0, 3),)),
+        # a NaN base field fails at the first point, reported as nan
+        (PhysicalParams(1.0, float("nan"), 1.0, 2.0, 0.1, 0.4), (AxisSpec("eta", 0.0, 1.0, 3),)),
     ],
 )
 def test_scan_raises_like_the_per_point_loop(base, axes):

@@ -12,14 +12,11 @@ from ncho import (
     build_omega,
     classify,
     energy,
-    left_eigenvector,
-    motion_matrix,
     spectral_data,
-    symplectic_residual,
     to_commutative,
 )
 from ncho.params import CommutativeParams
-from ncho.symplectic import I_SIGMA_Y, J4, LADDER_METRIC, SIGMA_Y, SIGMA_Z
+from ncho.symplectic import I_SIGMA_Y, LADDER_METRIC, SIGMA_Y
 
 from conftest import draw_params
 
@@ -33,21 +30,20 @@ def cp_of(*args, **kw):
 
 def test_hamiltonian_is_symmetric_and_blocks_match():
     cp = cp_of(1.0, 1.5, 1.0, 2.0, 0.1, 0.4)
-    h = build_hamiltonian(cp)
-    m = h.matrix
+    m = build_hamiltonian(cp)
     assert np.array_equal(m, m.T)
-    assert np.allclose(h.mode1_block, np.diag([cp.mu1 * cp.w1**2, 1 / cp.mu1]))
-    assert np.allclose(h.mode2_block, np.diag([cp.mu2 * cp.w2**2, 1 / cp.mu2]))
+    assert np.allclose(m[:2, :2], np.diag([cp.mu1 * cp.w1**2, 1 / cp.mu1]))
+    assert np.allclose(m[2:, 2:], np.diag([cp.mu2 * cp.w2**2, 1 / cp.mu2]))
     # coupling block rows (x2, p2) x cols (x1, p1): x2p1 carries 2 nu1,
     # p2x1 carries -2 nu2
     assert np.allclose(
-        h.coupling_block, np.array([[0.0, 2 * cp.nu1], [-2 * cp.nu2, 0.0]])
+        m[2:, :2], np.array([[0.0, 2 * cp.nu1], [-2 * cp.nu2, 0.0]])
     )
 
 
 def test_hamiltonian_positive_definite(rng):
     for p in draw_params(rng, 300, theta=(0.0, 0.8), eta=(0.0, 0.8)):
-        np.linalg.cholesky(build_hamiltonian(to_commutative(p)).matrix)
+        np.linalg.cholesky(build_hamiltonian(to_commutative(p)))
 
 
 def test_bopp_expansion_matches_quadratic_form_symbolically():
@@ -87,21 +83,13 @@ def test_bopp_expansion_matches_quadratic_form_symbolically():
 
 def test_omega_is_row_shuffle_of_h():
     cp = cp_of(0.8, 2.0, 1.2, 0.7, 0.2, 0.3)
-    h = build_hamiltonian(cp).matrix
-    om = build_omega(build_hamiltonian(cp))
+    h = build_hamiltonian(cp)
+    om = build_omega(h)
     assert np.array_equal(om[0], h[1])
     assert np.array_equal(om[1], -h[0])
     assert np.array_equal(om[2], h[3])
     assert np.array_equal(om[3], -h[2])
     assert np.array_equal(om, I_SIGMA_Y @ h)
-
-
-def test_motion_matrix_lies_in_symplectic_algebra(rng):
-    for p in draw_params(rng, 50):
-        qf = build_hamiltonian(to_commutative(p))
-        s = motion_matrix(qf)
-        assert np.array_equal(s, J4 @ qf.matrix)
-        assert symplectic_residual(qf) < 1e-15
 
 
 # ---------------------------------------------------------------- spectrum
@@ -153,7 +141,7 @@ def test_c_equals_det_of_quadratic_form(rng):
     for p in draw_params(rng, 300):
         cp = to_commutative(p)
         sd = spectral_data(cp)
-        det_h = float(np.linalg.det(build_hamiltonian(cp).matrix))
+        det_h = float(np.linalg.det(build_hamiltonian(cp)))
         assert sd.c == pytest.approx(det_h, rel=1e-10)
         assert sd.c == pytest.approx(
             (cp.mu1 * cp.w1**2 / cp.mu2 - 4 * cp.nu2**2)
@@ -197,7 +185,7 @@ def test_commutative_bypass_values():
 def test_degenerate_spectrum_raises():
     with pytest.raises(DegenerateSpectrum):
         spectral_data(cp_of(1.0, 1.0, 1.5, 1.5, 0.0, 0.0))
-    # theta*eta = 4 hbar^2 opens a zero-frequency mode (c -> 0)
+    # theta*eta = 4 opens a zero-frequency mode (c -> 0)
     with pytest.raises(DegenerateSpectrum):
         spectral_data(cp_of(1.0, 1.5, 1.0, 2.0, 2.0, 2.0))
 
@@ -230,8 +218,8 @@ def test_left_eigenvector_defining_relation(rng):
         cp = to_commutative(p)
         sd = spectral_data(cp)
         om = build_omega(build_hamiltonian(cp))
-        for mode, lam in ((1, sd.lambda1), (2, sd.lambda2)):
-            u = left_eigenvector(cp, sd, mode)
+        es = assemble_eigensystem(cp, sd)
+        for u, lam in ((es.u1, sd.lambda1), (es.u2, sd.lambda2)):
             res = np.linalg.norm(u @ om + 1j * lam * u) / (
                 np.linalg.norm(u) * np.linalg.norm(om)
             )
@@ -243,21 +231,13 @@ def test_left_eigenvector_defining_relation(rng):
 
 def test_left_eigenvector_sign_convention(rng):
     for p in draw_params(rng, 50):
-        cp = to_commutative(p)
-        sd = spectral_data(cp)
-        for mode in (1, 2):
-            u = left_eigenvector(cp, sd, mode)
+        es = assemble_eigensystem(to_commutative(p))
+        for u in (es.u1, es.u2):
             lead = next(c for c in u if abs(c) > 1e-12 * np.abs(u).max())
             if abs(lead.imag) > 1e-12 * abs(lead):
                 assert lead.imag > 0
             else:
                 assert lead.real > 0
-
-
-def test_left_eigenvector_rejects_bad_mode():
-    cp = cp_of(1.0, 1.5, 1.0, 2.0, 0.1, 0.4)
-    with pytest.raises(ValueError):
-        left_eigenvector(cp, spectral_data(cp), 3)
 
 
 def test_eigensystem_identities(rng):
@@ -273,7 +253,11 @@ def test_eigensystem_identity_matrices_explicitly():
     om = build_omega(build_hamiltonian(cp))
     assert np.allclose(es.q @ es.q_inv, np.eye(4), atol=1e-13)
     assert np.allclose(es.q_inv @ om @ es.q, es.omega_d, atol=1e-13)
-    assert np.allclose(es.q.conj().T, -SIGMA_Z @ es.q_inv @ SIGMA_Y, atol=1e-13)
+    # Q^dagger = -Sigma_z Q^-1 Sigma_y, where Sigma_z = diag(1, -1, 1, -1)
+    # is the ladder metric
+    assert np.allclose(
+        es.q.conj().T, -LADDER_METRIC @ es.q_inv @ SIGMA_Y, atol=1e-13
+    )
     assert np.allclose(
         es.q_inv @ (-SIGMA_Y) @ es.q_inv.conj().T, LADDER_METRIC, atol=1e-13
     )

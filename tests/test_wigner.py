@@ -124,6 +124,26 @@ def test_wigner_form_rejects_foreign_covariance():
         wigner_form(vm)
 
 
+def test_wigner_form_rejects_thermal_state():
+    """V = 1 passes Robertson-Schroedinger but is mixed: 2 M V = 4."""
+    with pytest.raises(ValueError):
+        wigner_form(np.eye(4))
+
+
+def test_wigner_form_accepts_dense_pure_state():
+    """A beam splitter (symplectic and orthogonal) mixes the two modes of
+    a ground state: the result is pure with every entry of V nonzero, and
+    its exponent is inv(V)/2."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    bs = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
+    vm = bs @ covariance(ground_state(to_commutative(BASE))).matrix @ bs.T
+    assert np.all(np.abs(vm) > 1e-6)
+    wf = wigner_form(vm)
+    assert not wf.degenerate
+    want = np.linalg.inv(vm) / 2
+    assert np.max(np.abs(wf.m - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------- illustration
 
 
