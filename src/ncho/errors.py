@@ -46,7 +46,7 @@ class UnphysicalCovariance(NchoError):
 
 
 class EmptyRange(NchoError):
-    """A scan axis has no grid points."""
+    """A scan axis or a Wigner grid axis has no grid points."""
 
 
 class InvalidAxisName(NchoError):

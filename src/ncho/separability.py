@@ -313,12 +313,14 @@ class ScanResult:
         """
         names = [ax.name for ax in self.axes]
         lines = [",".join(names + ["margin", "verdict", "boundary", "degenerate"])]
+        points = dict.fromkeys(x for r in self.rows for x in r.point)
+        text = {x: repr(float(x)) for x in points}  # each distinct value once
+        flag = ("false", "true")
         for r in self.rows:
-            cells = [repr(float(x)) for x in r.point]
+            # 0.0 == -0.0 share a key but not a text: zeros get their own repr
+            cells = [text[x] if x else repr(float(x)) for x in r.point]
             cells.append("" if r.margin is None else repr(float(r.margin)))
-            cells.append(r.verdict)
-            cells.append("true" if r.boundary else "false")
-            cells.append("true" if r.degenerate else "false")
+            cells += (r.verdict, flag[r.boundary], flag[r.degenerate])
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 

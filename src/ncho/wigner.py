@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateForm, InvalidPlane
+from .errors import DegenerateForm, EmptyRange, InvalidPlane
 from .gaussian import CovarianceMatrix
 from .symplectic import I_SIGMA_Y
 
@@ -84,20 +84,20 @@ class WignerGrid:
         uses space-separated columns with a blank line between axis1
         blocks, which splot consumes directly.
         """
+        axis1 = np.asarray(self.axis1, dtype=float).tolist()
+        axis2 = np.asarray(self.axis2, dtype=float).tolist()
+        rows = zip(axis1, np.asarray(self.values, dtype=float))
+        # map(repr, ...) formats in C; row by row, no grid-sized list is held
         if triples:
+            axis2 = [repr(b) + " " for b in axis2]
             lines = [f"# {self.plane[0]} {self.plane[1]} w"]
-            for i, a in enumerate(self.axis1):
-                for j, b in enumerate(self.axis2):
-                    lines.append(
-                        f"{float(a)!r} {float(b)!r} {float(self.values[i, j])!r}"
-                    )
-                lines.append("")
-            return "\n".join(lines) + "\n"
-        head = "," + ",".join(repr(float(b)) for b in self.axis2)
-        lines = [head]
-        for i, a in enumerate(self.axis1):
-            row = [repr(float(a))] + [repr(float(w)) for w in self.values[i]]
-            lines.append(",".join(row))
+            for a, row in rows:
+                a = repr(a) + " "
+                block = [a + b + w for b, w in zip(axis2, map(repr, row.tolist()))]
+                lines.append("\n".join(block + [""]))  # a blank line ends a block
+        else:
+            lines = ["," + ",".join(map(repr, axis2))]
+            lines += [",".join(map(repr, [a, *row.tolist()])) for a, row in rows]
         return "\n".join(lines) + "\n"
 
     def meta_obj(self) -> dict:
@@ -161,6 +161,20 @@ def evaluate(wf: WignerForm, z) -> np.ndarray:
     return wf.norm * np.exp(-expo)
 
 
+def _nodes(axes: tuple, fixed: dict) -> list:
+    """Node arrays of axes ((start, stop, steps), ...).  EmptyRange for an
+    axis without points, InvalidPlane for a node or fixed value that is
+    not finite."""
+    if any(int(steps) < 1 for _, _, steps in axes):
+        raise EmptyRange(f"every grid axis needs at least 1 point, got {axes}")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        nodes = [np.linspace(float(a), float(b), int(n)) for a, b, n in axes]
+    values = np.concatenate([*nodes, [float(v) for v in fixed.values()]])
+    if not np.isfinite(values).all():
+        raise InvalidPlane("grid bounds and fixed values must be finite")
+    return nodes
+
+
 def project(
     wf: WignerForm,
     plane: tuple,
@@ -185,9 +199,7 @@ def project(
         raise InvalidPlane(
             f"fixed must supply exactly {rest}, got {sorted(fixed)}"
         )
-    (a1, b1, n1), (a2, b2, n2) = axes
-    g1 = np.linspace(float(a1), float(b1), int(n1))
-    g2 = np.linspace(float(a2), float(b2), int(n2))
+    g1, g2 = _nodes(axes, fixed)
     z = np.zeros((g1.size, g2.size, 4))
     z[..., AXIS_INDEX[plane[0]]] = g1[:, None]
     z[..., AXIS_INDEX[plane[1]]] = g2[None, :]
@@ -213,6 +225,7 @@ def marginal_position(
     DegenerateForm when the momentum block (or its Schur complement) is
     not positive definite, as for the degenerate illustration moments.
     """
+    g1, g2 = _nodes(axes, {})
     q = [AXIS_INDEX["x1"], AXIS_INDEX["x2"]]
     r = [AXIS_INDEX["p1"], AXIS_INDEX["p2"]]
     mqq = wf.m[np.ix_(q, q)]
@@ -227,9 +240,6 @@ def marginal_position(
         raise DegenerateForm(
             f"position marginal is not normalizable (min eig {eig.min():.3e})"
         )
-    (a1, b1, n1), (a2, b2, n2) = axes
-    g1 = np.linspace(float(a1), float(b1), int(n1))
-    g2 = np.linspace(float(a2), float(b2), int(n2))
     x1 = g1[:, None]
     x2 = g2[None, :]
     expo = (

@@ -252,6 +252,30 @@ def test_wigner_usage_errors(capsys, tmp_path, argv):
     assert "error" in err
 
 
+RIDGE = ["wigner", "--illustration", "--plane", "x1,p2", "--fixed", "p1=0,x2=0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*RIDGE, "--grid=-4:4:0"],
+        [*RIDGE, "--grid=-4:4:-3"],
+        [*RIDGE, "--grid=nan:4:3"],
+        [*RIDGE, "--grid=-4:inf:3"],
+        [*RIDGE, "--grid=-1e308:1e308:3"],  # the nodes overflow
+        [*RIDGE[:-1], "p1=nan,x2=0", "--grid=-4:4:3"],
+        ["wigner", *BASE_FLAGS, "--marginal", "--grid=-3:3:0"],
+        ["wigner", *BASE_FLAGS, "--marginal", "--grid=nan:3:5"],
+    ],
+)
+def test_wigner_bad_grid_exits_2_and_writes_nothing(capsys, tmp_path, argv):
+    code, out, err = run(capsys, [*argv, "--out", str(tmp_path / "w")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- szilard
 
 

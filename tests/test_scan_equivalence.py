@@ -3,14 +3,17 @@
 scan evaluates the closed forms on arrays of grid points; classify runs
 the same functions on one point.  Every row must equal classify(p,
 ppt=False) exactly: the margin bit for bit, the verdict and boundary flag,
-and degenerate exactly where classify raises a degeneracy error.
+and degenerate exactly where classify raises a degeneracy error.  The
+scan CSV must equal a row-by-row, cell-by-cell formatter byte for byte.
 """
 
 import dataclasses
 import itertools
+import math
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ncho import (
@@ -21,6 +24,8 @@ from ncho import (
     NegativeDeformation,
     NonPositiveParameter,
     PhysicalParams,
+    ScanResult,
+    ScanRow,
     classify,
     scan,
     validate,
@@ -190,3 +195,68 @@ def test_scan_does_not_call_classify(monkeypatch):
     monkeypatch.setattr(separability, "classify", per_point)
     res = scan(PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.1, 0.4), AxisSpec("eta", 0.0, 1.0, 50))
     assert len(res.rows) == 50
+
+
+def csv_oracle(res):
+    """ScanResult.csv_text as written before each distinct axis value was
+    formatted once: every cell through repr(float(.)), row by row."""
+    names = [ax.name for ax in res.axes]
+    lines = [",".join(names + ["margin", "verdict", "boundary", "degenerate"])]
+    for r in res.rows:
+        cells = [repr(float(x)) for x in r.point]
+        cells.append("" if r.margin is None else repr(float(r.margin)))
+        cells.append(r.verdict)
+        cells.append("true" if r.boundary else "false")
+        cells.append("true" if r.degenerate else "false")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+EQUAL_FREQUENCIES = PhysicalParams(1.0, 1.5, 1.0, 1.0, 0.0, 0.0)
+
+
+# theta = eta = 0 with wt1 = wt2 is a degenerate row; theta = 0:-0:2 puts
+# 0.0 and -0.0 (both valid) on one axis
+@example((EQUAL_FREQUENCIES, (AxisSpec("theta", 0.0, 1.0, 3),)))
+@example(
+    (
+        EQUAL_FREQUENCIES,
+        (AxisSpec("theta", 0.0, -0.0, 2), AxisSpec("eta", 0.0, 0.5, 3)),
+    )
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grids())
+def test_scan_csv_matches_cell_by_cell_oracle(case):
+    res = scan(case[0], *case[1])
+    assert res.csv_text() == csv_oracle(res)
+
+
+# a small pool, so that axis values repeat across rows; rows built by hand
+# may hold numpy scalars
+POOL = [0.0, -0.0, 5e-324, 1e-5, 0.1, 2.5, 1e16, 1e300, -3.0, math.inf, math.nan]
+VALUES = (st.sampled_from(POOL) | st.floats()).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.lists(
+            st.builds(
+                ScanRow,
+                point=st.tuples(*[VALUES] * n),
+                margin=st.none() | VALUES,
+                verdict=st.sampled_from(["separable", "entangled", ""]),
+                boundary=st.booleans(),
+                degenerate=st.booleans(),
+            ),
+            max_size=30,
+        )
+    )
+)
+def test_csv_of_arbitrary_rows_matches_oracle(rows):
+    axes = (AxisSpec("theta", 0.0, 1.0, 2), AxisSpec("eta", 0.0, 1.0, 2))
+    width = len(rows[0].point) if rows else 2
+    res = ScanResult(PhysicalParams(1, 1, 1, 2, 0, 0), axes[:width], rows, 1e-12)
+    assert res.csv_text() == csv_oracle(res)

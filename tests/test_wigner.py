@@ -1,15 +1,21 @@
 """Wigner exponent, normalization, slices, marginals, degenerate form."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.polynomial.legendre import leggauss
 
 from ncho import (
     DegenerateForm,
+    EmptyRange,
     InvalidPlane,
     PhysicalParams,
+    WignerGrid,
     covariance,
     ground_state,
     illustration_covariance,
@@ -214,6 +220,27 @@ def test_project_validates_plane_and_fixed():
         project(wf, ("x1", "p2"), {"x2": 1.0, "p2": 7.0})
 
 
+@pytest.mark.parametrize(
+    "axes, fixed, error",
+    [
+        (((-4, 4, 0), (-4, 4, 3)), {}, EmptyRange),
+        (((-4, 4, 3), (-4, 4, -3)), {}, EmptyRange),
+        (((float("nan"), 4, 3), (-4, 4, 3)), {}, InvalidPlane),
+        (((-4, 4, 3), (-4, float("inf"), 3)), {}, InvalidPlane),
+        # finite bounds whose difference overflows
+        (((-1e308, 1e308, 3), (-4, 4, 3)), {}, InvalidPlane),
+        (((-4, 4, 3), (-4, 4, 3)), {"p1": float("nan")}, InvalidPlane),
+    ],
+)
+def test_grids_reject_empty_and_non_finite_axes(axes, fixed, error):
+    wf = wigner_form(illustration_covariance())
+    with pytest.raises(error):
+        project(wf, ("x1", "p2"), {"p1": 0.0, "x2": 0.0, **fixed}, axes)
+    if not fixed:  # the grid is checked before the degenerate form
+        with pytest.raises(error):
+            marginal_position(wf, axes)
+
+
 def test_project_agrees_with_pointwise_evaluate():
     wf = wigner_form(covariance(ground_state(to_commutative(BASE))))
     grid = project(wf, ("x2", "p2"), {"x1": 0.5, "p1": -0.25}, ((-2, 2, 11), (-1, 1, 7)))
@@ -280,3 +307,57 @@ def test_save_grid_triples_layout(tmp_path):
     assert lines[1].split() == ["-1.0", "-1.0", repr(float(grid.values[0, 0]))]
     # blank separator line between axis1 blocks (gnuplot splot format)
     assert lines[4] == ""
+
+
+def csv_oracle(grid, triples=False):
+    """WignerGrid.csv_text as written before it formatted whole rows: every
+    cell through repr(float(.)), one at a time."""
+    if triples:
+        lines = [f"# {grid.plane[0]} {grid.plane[1]} w"]
+        for i, a in enumerate(grid.axis1):
+            for j, b in enumerate(grid.axis2):
+                lines.append(
+                    f"{float(a)!r} {float(b)!r} {float(grid.values[i, j])!r}"
+                )
+            lines.append("")
+        return "\n".join(lines) + "\n"
+    head = "," + ",".join(repr(float(b)) for b in grid.axis2)
+    lines = [head]
+    for i, a in enumerate(grid.axis1):
+        row = [repr(float(a))] + [repr(float(w)) for w in grid.values[i]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, -2.5, -1e300, math.inf, math.nan]
+CELLS = st.sampled_from(SPECIAL) | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.data())
+def test_csv_text_matches_cell_by_cell_oracle(n1, n2, data):
+    grid = WignerGrid(
+        plane=("x1", "p2"),
+        fixed={"p1": 0.0, "x2": 0.0},
+        axis1=data.draw(arrays(np.float64, n1, elements=CELLS)),
+        axis2=data.draw(arrays(np.float64, n2, elements=CELLS)),
+        values=data.draw(arrays(np.float64, (n1, n2), elements=CELLS)),
+        form=wigner_form(illustration_covariance()),
+    )
+    assert grid.csv_text() == csv_oracle(grid)
+    assert grid.csv_text(triples=True) == csv_oracle(grid, triples=True)
+
+
+def test_csv_text_writes_integer_and_float32_grids_as_floats():
+    grid = WignerGrid(
+        plane=("x2", "p2"),
+        fixed={"x1": 0.0, "p1": 0.0},
+        axis1=np.arange(3),
+        axis2=np.array([-1, 1]),
+        values=np.full((3, 2), 0.1, dtype=np.float32),
+        form=wigner_form(illustration_covariance()),
+    )
+    w = repr(float(np.float32(0.1)))
+    assert grid.csv_text().split("\n")[:2] == [",-1.0,1.0", f"0.0,{w},{w}"]
+    for triples in (False, True):
+        assert grid.csv_text(triples=triples) == csv_oracle(grid, triples)
