@@ -1,7 +1,8 @@
 """Command line interface: ncho analyze | scan | wigner | szilard.
 
-Exit codes: 0 success, 2 invalid input or usage, 3 degenerate parameter
-point, 4 internal consistency failure (residuals, singular matrices).
+Exit codes: 0 success, otherwise the `exit_code` of the NchoError raised:
+2 invalid input or usage, 3 degenerate parameter point, 4 internal
+consistency failure (residuals, singular matrices).
 All diagnostics go to stderr; stdout carries only the requested output
 and is byte-deterministic for fixed inputs.
 """
@@ -12,21 +13,7 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import (
-    DegenerateForm,
-    DegenerateGroundState,
-    DegenerateSpectrum,
-    EigenvectorResidualTooLarge,
-    EmptyRange,
-    HomodyneUnsupported,
-    InvalidAxisName,
-    InvalidPlane,
-    NegativeDeformation,
-    NonPositiveParameter,
-    SingularMeasurement,
-    SingularQ,
-    UnphysicalCovariance,
-)
+from .errors import InvalidAxisName, InvalidPlane, NchoError
 from .gaussian import covariance, ground_state
 from .params import PhysicalParams, to_commutative
 from .report import analyze
@@ -39,23 +26,6 @@ from .wigner import (
     project,
     save_grid,
     wigner_form,
-)
-
-USAGE_ERRORS = (
-    NonPositiveParameter,
-    NegativeDeformation,
-    EmptyRange,
-    InvalidAxisName,
-    InvalidPlane,
-    HomodyneUnsupported,
-)
-DEGENERATE_ERRORS = (DegenerateSpectrum, DegenerateGroundState)
-INTERNAL_ERRORS = (
-    EigenvectorResidualTooLarge,
-    SingularQ,
-    UnphysicalCovariance,
-    SingularMeasurement,
-    DegenerateForm,
 )
 
 PARAM_FLAGS = tuple(AXIS_FIELDS)
@@ -112,13 +82,9 @@ def _parse_fixed(text: str) -> dict:
 def cmd_analyze(args) -> int:
     p = _params(vars(args))
     rep = analyze(p, tol=args.tol, eps_sep=args.eps_sep, eps_c=args.eps_c)
-    if rep.eigensystem.residuals["max"] > args.tol:
-        print(
-            f"error: identity residual {rep.eigensystem.residuals['max']:.3e} "
-            f"exceeds {args.tol:.1e}",
-            file=sys.stderr,
-        )
-        return 4
+    worst = rep.eigensystem.residuals["max"]
+    if worst > args.tol:
+        raise NchoError(f"identity residual {worst:.3e} exceeds {args.tol:.1e}")
     sys.stdout.write(rep.json_text(pretty=args.pretty))
     return 0
 
@@ -127,11 +93,6 @@ def cmd_scan(args) -> int:
     axis1 = _parse_axis(args.axis1)
     axis2 = _parse_axis(args.axis2) if args.axis2 else None
     axis_names = {axis1.name} | ({axis2.name} if axis2 else set())
-    for name in axis_names:
-        if name not in AXIS_FIELDS:
-            raise InvalidAxisName(
-                f"axis {name!r} is not one of {sorted(AXIS_FIELDS)}"
-            )
     values = {}
     for name in PARAM_FLAGS:
         given = getattr(args, name)
@@ -279,15 +240,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as e:
+    except NchoError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DEGENERATE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except INTERNAL_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return e.exit_code
 
 
 if __name__ == "__main__":

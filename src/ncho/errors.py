@@ -1,12 +1,20 @@
-"""Exception types raised by the ncho package."""
+"""Exception types raised by the ncho package.
+
+`exit_code` is the exit status of the ncho CLI: 2 invalid input or usage,
+3 degenerate parameter point, 4 (the default) internal consistency failure.
+"""
 
 
 class NchoError(Exception):
     """Base class for all ncho errors."""
 
+    exit_code = 4
+
 
 class NonPositiveParameter(NchoError):
     """A parameter that must be strictly positive is zero or negative."""
+
+    exit_code = 2
 
     def __init__(self, field, value):
         self.field = field
@@ -16,6 +24,8 @@ class NonPositiveParameter(NchoError):
 
 class NegativeDeformation(NchoError):
     """theta or eta is negative; the positivity results assume both >= 0."""
+
+    exit_code = 2
 
     def __init__(self, field, value):
         self.field = field
@@ -27,10 +37,12 @@ class DegenerateSpectrum(NchoError):
     """The two normal-mode frequencies coincide (or one vanishes); the
     closed-form eigenvector expressions are ill-conditioned there."""
 
+    exit_code = 3
+
 
 class EigenvectorResidualTooLarge(NchoError):
-    """Neither the closed-form eigenvector nor the numeric null-space
-    fallback met the residual tolerance."""
+    """Neither the closed-form eigenvector nor its mode-swapped form met
+    the residual tolerance."""
 
 
 class SingularQ(NchoError):
@@ -40,6 +52,8 @@ class SingularQ(NchoError):
 class DegenerateGroundState(NchoError):
     """The denominator of the Gaussian exponent coefficients vanished."""
 
+    exit_code = 3
+
 
 class UnphysicalCovariance(NchoError):
     """Covariance matrix violates the Robertson-Schroedinger inequality."""
@@ -48,13 +62,19 @@ class UnphysicalCovariance(NchoError):
 class EmptyRange(NchoError):
     """A scan axis or a Wigner grid axis has no grid points."""
 
+    exit_code = 2
+
 
 class InvalidAxisName(NchoError):
     """A scan axis does not name a physical input parameter."""
 
+    exit_code = 2
+
 
 class InvalidPlane(NchoError):
     """The requested projection plane is not a pair of distinct axes."""
+
+    exit_code = 2
 
 
 class DegenerateForm(NchoError):
@@ -63,6 +83,8 @@ class DegenerateForm(NchoError):
 
 class HomodyneUnsupported(NchoError):
     """Homodyne limit (measurement parameter 0) is not implemented."""
+
+    exit_code = 2
 
 
 class SingularMeasurement(NchoError):

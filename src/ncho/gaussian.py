@@ -200,9 +200,9 @@ def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):
 
     The canonical commutators give [X_a, X_b] = -i (Sigma_y)_ab at
     hbar = 1, so the Robertson-Schroedinger condition reads
-    V - Sigma_y/2 >= 0 (the matrix is Hermitian).  Values >= -1e-10
-    count as physical.  A stack of matrices (leading axes) gives one
-    value per matrix.
+    V - Sigma_y/2 >= 0 (the matrix is Hermitian).  require_physical
+    accepts values >= -tol |V|_F.  A stack of matrices (leading axes)
+    gives one value per matrix.
     """
     m = np.asarray(v)
     # eigvalsh sorts ascending: entry 0 of the last axis is the smallest
@@ -212,13 +212,16 @@ def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):
 def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
     """Raise UnphysicalCovariance unless V satisfies Robertson-Schroedinger.
 
-    For a stack of matrices every one must pass; the error reports the
-    smallest eigenvalue of the stack.
+    The smallest eigenvalue of V - Sigma_y/2 must reach -tol |V|_F: the
+    bound is relative, because rounding in V scales with its size.  For
+    a stack of matrices each one is held to its own bound; the error
+    reports the worst eigenvalue relative to |V|_F.
     """
-    low = rs_min_eigenvalue(v)
-    if (low < -tol).any():
+    m = np.asarray(v)
+    rel = rs_min_eigenvalue(m) / np.linalg.norm(m, axis=(-2, -1))
+    if (rel < -tol).any():
         raise UnphysicalCovariance(
-            f"V - Sigma_y/2 has eigenvalue {low.min():.6e} < -{tol:.1e}"
+            f"V - Sigma_y/2 has eigenvalue {rel.min():.6e} |V|_F < -{tol:.1e} |V|_F"
         )
 
 

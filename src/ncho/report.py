@@ -42,11 +42,14 @@ class AnalysisReport:
     eps_c: float
 
     def json_obj(self) -> dict:
-        """Report as a JSON-ready dict with fixed field order."""
-        p, cp, sd, gs = self.params, self.commutative, self.spectral, self.ground
+        """Report as a JSON-ready dict with fixed field order.
+
+        The commutative, spectral, ground_state and separability blocks
+        are the fields of their records, in declaration order.
+        """
+        cp, sd = self.commutative, self.spectral
         nunu = cp.nu1 * cp.nu2
         cross = (sd.b - cp.w1**2 - cp.w2**2) / nunu if nunu > 0.0 else None
-        rep = self.separability
         return {
             "version": __version__,
             "tolerances": {
@@ -54,58 +57,17 @@ class AnalysisReport:
                 "eps_sep": self.eps_sep,
                 "eps_c": self.eps_c,
             },
-            "inputs": inputs_obj(p),
+            "inputs": inputs_obj(self.params),
             "effective_planck": self.hbar_e,
-            "commutative": {
-                "mu1": cp.mu1,
-                "mu2": cp.mu2,
-                "w1": cp.w1,
-                "w2": cp.w2,
-                "nu1": cp.nu1,
-                "nu2": cp.nu2,
-            },
-            "spectral": {
-                "b": sd.b,
-                "c": sd.c,
-                "delta": sd.delta,
-                "wx2": sd.wx2,
-                "wy2": sd.wy2,
-                "alpha0": sd.alpha0,
-                "lambda1": sd.lambda1,
-                "lambda2": sd.lambda2,
-                "b_cross_coefficient": cross,
-            },
+            "commutative": dict(vars(cp)),
+            "spectral": {**vars(sd), "b_cross_coefficient": cross},
             "residuals": dict(self.eigensystem.residuals),
             "used_fallback": list(self.eigensystem.used_fallback),
-            "ground_state": {
-                "lambda11": gs.lambda11,
-                "lambda22": gs.lambda22,
-                "lambda12_im": gs.lambda12_im,
-                "a0_mod": gs.a0_mod,
-                "d": gs.d,
-                "tau": gs.tau,
-                "denom": gs.denom,
-                "energy0": gs.energy0,
-            },
+            "ground_state": dict(vars(self.ground)),
             "covariance": [[float(x) for x in row] for row in self.cov.matrix],
             "rs_min_eigenvalue": self.rs_min,
             "variance_products": list(self.variance),
-            "separability": {
-                "det1": rep.det1,
-                "det2": rep.det2,
-                "det12": rep.det12,
-                "trace_term": rep.trace_term,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "margin": rep.margin,
-                "rhs_unscaled": rep.rhs_unscaled,
-                "margin_unscaled": rep.margin_unscaled,
-                "verdict": rep.verdict,
-                "boundary": rep.boundary,
-                "ppt_min": rep.ppt_min,
-                "ppt_verdict": rep.ppt_verdict,
-                "reason": rep.reason,
-            },
+            "separability": dict(vars(self.separability)),
         }
 
     def json_text(self, *, pretty: bool = False) -> str:

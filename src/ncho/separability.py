@@ -330,16 +330,7 @@ class ScanResult:
             "axes": [dataclasses.asdict(ax) for ax in self.axes],
             "eps_sep": self.eps_sep,
             "counts": self.counts(),
-            "rows": [
-                {
-                    "point": list(r.point),
-                    "margin": r.margin,
-                    "verdict": r.verdict,
-                    "boundary": r.boundary,
-                    "degenerate": r.degenerate,
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(vars(r)) for r in self.rows],
         }
 
     def json_text(self, *, pretty: bool = False) -> str:

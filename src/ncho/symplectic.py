@@ -16,9 +16,10 @@ The characteristic polynomial of Omega is biquadratic,
     lambda^4 - b lambda^2 + c = 0,
 
 so both normal-mode frequencies have closed forms.  Left eigenvectors of
-Omega also have closed forms; rows u_i (eigenvalue -i lambda_i) and
-columns v_i = -Sigma_y u_i^dagger are assembled into a similarity
-transformation Q that diagonalizes Omega and carries the metric
+Omega also have closed forms (for a mode that decouples from (x1, p1),
+the same form with the two modes relabelled); rows u_i (eigenvalue
+-i lambda_i) and columns v_i = -Sigma_y u_i^dagger are assembled into a
+similarity transformation Q that diagonalizes Omega and carries the metric
 structure needed for ladder operators:
 
     Q^-1 Omega Q = Omega_D,
@@ -90,7 +91,7 @@ class EigenSystem:
     sigma         : diag(l1, l1, l2, l2)
     residuals     : relative Frobenius residuals of the defining identities
     used_fallback : per mode, True when the closed-form eigenvector was
-                    unusable and the numeric null-space route was taken
+                    unusable and its mode-swapped form was taken
     """
 
     u1: np.ndarray
@@ -247,6 +248,27 @@ def _eig_residual(u: np.ndarray, omega: np.ndarray, lam: float) -> float:
     return float(np.linalg.norm(r) / (np.linalg.norm(u) * np.linalg.norm(omega)))
 
 
+def _closed_form(lam, mu1, mu2, w2, nu1, nu2) -> np.ndarray:
+    """Unnormalized left eigenvector of Omega for eigenvalue -i lam:
+
+        u ~ ( -i lam mu1 mu2 (lam^2 - w2^2 - 4 nu1 nu2),
+              mu2 (lam^2 - w2^2) + 4 mu1 nu1^2,
+              2 nu1 mu1 mu2 (lam^2 - 4 nu1 nu2) + 2 nu2 mu2^2 w2^2,
+              2 i lam (mu1 nu1 + mu2 nu2) )
+    """
+    nunu = nu1 * nu2
+    w2s = w2**2
+    lam2 = lam * lam
+    return np.array(
+        [
+            -1.0j * lam * mu1 * mu2 * (lam2 - w2s - 4.0 * nunu),
+            mu2 * (lam2 - w2s) + 4.0 * mu1 * nu1**2,
+            2.0 * nu1 * mu1 * mu2 * (lam2 - 4.0 * nunu) + 2.0 * nu2 * mu2**2 * w2s,
+            2.0j * lam * (mu1 * nu1 + mu2 * nu2),
+        ]
+    )
+
+
 def _left_eigenvector(
     cp: CommutativeParams,
     omega: np.ndarray,
@@ -255,43 +277,22 @@ def _left_eigenvector(
 ) -> tuple:
     """Left eigenvector u with u Omega = -i lam u, normalized and sign fixed.
 
-    Returns (u, used_fallback).  The closed form
-
-        u ~ ( -i lam mu1 mu2 (lam^2 - w2^2 - 4 nu1 nu2),
-              mu2 (lam^2 - w2^2) + 4 mu1 nu1^2,
-              2 nu1 mu1 mu2 (lam^2 - 4 nu1 nu2) + 2 nu2 mu2^2 w2^2,
-              2 i lam (mu1 nu1 + mu2 nu2) )
-
-    degenerates to the zero vector for a mode that decouples from
-    (x1, p1) (e.g. nu1 = nu2 = 0); the numeric null space of
-    (Omega + i lam I)^T is used instead.  Normalization fixes
-    u (-Sigma_y) u^dagger = 1, which is positive on this eigenvalue
-    branch.
+    Returns (u, swapped).  _closed_form degenerates to the zero vector
+    for a mode that decouples from (x1, p1) (e.g. nu1 = nu2 = 0).
+    Relabelling the modes maps Omega to itself under (mu1, mu2, w1, w2,
+    nu1, nu2) -> (mu2, mu1, w2, w1, -nu2, -nu1) with the components
+    reordered (u2, u3, u0, u1); that mode-swapped closed form is used
+    instead, and swapped is True.  Normalization fixes u (-Sigma_y) u^dagger = 1, which is positive on
+    this eigenvalue branch.
     """
-    nunu = cp.nu1 * cp.nu2
-    w2s = cp.w2**2
-    lam2 = lam * lam
-    u = np.array(
-        [
-            -1.0j * lam * cp.mu1 * cp.mu2 * (lam2 - w2s - 4.0 * nunu),
-            cp.mu2 * (lam2 - w2s) + 4.0 * cp.mu1 * cp.nu1**2,
-            2.0 * cp.nu1 * cp.mu1 * cp.mu2 * (lam2 - 4.0 * nunu)
-            + 2.0 * cp.nu2 * cp.mu2**2 * w2s,
-            2.0j * lam * (cp.mu1 * cp.nu1 + cp.mu2 * cp.nu2),
-        ]
-    )
-    used_fallback = False
-    nrm = np.linalg.norm(u)
-    if nrm < 1e-300 or _eig_residual(u, omega, lam) > tol:
-        # closed form is degenerate for this mode; null space of
-        # (Omega + i lam)^T gives the row eigenvector
-        _, _, vh = np.linalg.svd(omega.T + 1.0j * lam * np.eye(4))
-        u = vh[-1].conj()
-        used_fallback = True
+    u = _closed_form(lam, cp.mu1, cp.mu2, cp.w2, cp.nu1, cp.nu2)
+    swapped = bool(np.linalg.norm(u) < 1e-300 or _eig_residual(u, omega, lam) > tol)
+    if swapped:
+        u = _closed_form(lam, cp.mu2, cp.mu1, cp.w1, -cp.nu2, -cp.nu1)[[2, 3, 0, 1]]
         if _eig_residual(u, omega, lam) > tol:
             raise EigenvectorResidualTooLarge(
                 f"residual for lambda = {lam:.6g} exceeds {tol:.1e} "
-                "on both the closed-form and null-space routes"
+                "on both the closed form and its mode-swapped form"
             )
     n = float(np.real(u @ (-SIGMA_Y) @ u.conj()))
     if n <= 0.0:
@@ -300,7 +301,7 @@ def _left_eigenvector(
             f"lambda = {lam:.6g}; wrong eigenvalue branch"
         )
     u = u / np.sqrt(n)
-    return _fix_sign(u), used_fallback
+    return _fix_sign(u), swapped
 
 
 def assemble_eigensystem(

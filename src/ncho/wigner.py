@@ -255,15 +255,17 @@ def save_grid(grid: WignerGrid, prefix: str, *, triples: bool = False) -> tuple:
     """Write <prefix>.csv (the grid) and <prefix>.json (metadata).
 
     Returns the two paths.  Output is deterministic: repr floats, fixed
-    key order, newline-terminated.
+    key order, newline-terminated.  Both texts are built before either
+    file is opened, so a grid whose text cannot be built leaves no file.
     """
-    csv_path = f"{prefix}.csv"
-    meta_path = f"{prefix}.json"
-    with open(csv_path, "w") as f:
-        f.write(grid.csv_text(triples=triples))
-    with open(meta_path, "w") as f:
-        f.write(json.dumps(grid.meta_obj(), indent=2) + "\n")
-    return csv_path, meta_path
+    texts = {
+        f"{prefix}.csv": grid.csv_text(triples=triples),
+        f"{prefix}.json": json.dumps(grid.meta_obj(), indent=2) + "\n",
+    }
+    for path, text in texts.items():
+        with open(path, "w") as f:
+            f.write(text)
+    return tuple(texts)
 
 
 def illustration_covariance() -> CovarianceMatrix:

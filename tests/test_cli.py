@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import ncho
+from ncho import cli
 from ncho.cli import main
 
 BASE_FLAGS = [
@@ -36,6 +38,28 @@ def test_analyze_reports_full_pipeline(capsys):
     assert obj["separability"]["ppt_verdict"] == "entangled"
     assert obj["separability"]["reason"] == "generic"
     assert len(obj["covariance"]) == 4
+
+
+def test_analyze_commutative_point_reports_swapped_eigenvector(capsys):
+    argv = ["analyze", *BASE_FLAGS, "--theta", "0.0", "--eta", "0.0"]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["used_fallback"] == [True, False]  # lambda1 = w2 lives on (x2, p2)
+    assert obj["residuals"]["max"] < 1e-14
+    assert obj["separability"]["reason"] == "theta_eta_zero"
+
+
+def test_analyze_residual_above_tol_exits_4(capsys, monkeypatch):
+    def analyze_with_bad_residual(p, **kw):
+        rep = ncho.analyze(p, **kw)
+        rep.eigensystem.residuals["max"] = 1.0
+        return rep
+
+    monkeypatch.setattr(cli, "analyze", analyze_with_bad_residual)
+    code, out, err = run(capsys, ["analyze", *BASE_FLAGS])
+    assert (code, out) == (4, "")
+    assert err == "error: identity residual 1.000e+00 exceeds 1.0e-09\n"
 
 
 def test_analyze_output_is_deterministic(capsys):
@@ -82,6 +106,74 @@ def test_analyze_degenerate_points_exit_3(capsys, patch):
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+# a pure ground state whose covariance has |V|_F ~ 1.6e6: rounding puts
+# the smallest Robertson-Schroedinger eigenvalue near -2.9e-10, which an
+# absolute tolerance of 1e-10 rejected
+LARGE_V_FLAGS = [
+    "--m1", "0.4110636528635846", "--m2", "4882.7966867515115",
+    "--w1", "0.009258397936562218", "--w2", "636.4555829540503",
+    "--theta", "0.4956299009404123",
+]
+
+
+def test_analyze_accepts_large_pure_covariance(capsys):
+    code, out, err = run(
+        capsys, ["analyze", *LARGE_V_FLAGS, "--eta", "0.013220750904957662"]
+    )
+    assert (code, err) == (0, "")
+    rep = json.loads(out)["separability"]
+    assert rep["verdict"] == rep["ppt_verdict"]
+
+
+def test_scan_accepts_large_pure_covariances(capsys):
+    code, out, err = run(
+        capsys, ["scan", *LARGE_V_FLAGS, "--axis1", "eta=0.01:0.02:11"]
+    )
+    assert code == 0
+    assert "points=11" in err
+
+
+# the documented exit status of each error type
+EXIT_CODES = {
+    "NonPositiveParameter": 2,
+    "NegativeDeformation": 2,
+    "EmptyRange": 2,
+    "InvalidAxisName": 2,
+    "InvalidPlane": 2,
+    "HomodyneUnsupported": 2,
+    "DegenerateSpectrum": 3,
+    "DegenerateGroundState": 3,
+    "EigenvectorResidualTooLarge": 4,
+    "SingularQ": 4,
+    "UnphysicalCovariance": 4,
+    "SingularMeasurement": 4,
+    "DegenerateForm": 4,
+}
+
+
+def test_exit_code_table_covers_every_error_type():
+    names = {
+        n for n in ncho.__all__
+        if isinstance(getattr(ncho, n), type)
+        and issubclass(getattr(ncho, n), ncho.NchoError)
+    }
+    assert names == {*EXIT_CODES, "NchoError"}
+
+
+@pytest.mark.parametrize("name,code", EXIT_CODES.items())
+def test_error_type_sets_exit_code(capsys, monkeypatch, name, code):
+    cls = getattr(ncho, name)
+    field_errors = ("NonPositiveParameter", "NegativeDeformation")
+    err = cls("m1", -1.0) if name in field_errors else cls("boom")
+
+    def fail(args):
+        raise err
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    got, out, stderr = run(capsys, ["analyze", *BASE_FLAGS])
+    assert (got, out, stderr) == (code, "", f"error: {err}\n")
 
 
 # ---------------------------------------------------------------- scan

@@ -225,6 +225,28 @@ def test_unphysical_covariance_rejected():
         require_physical(0.1 * np.eye(4))
 
 
+def test_physicality_bound_is_relative_to_the_size_of_v():
+    """A pure V of norm ~1.6e6 passes although rounding leaves its smallest
+    Robertson-Schroedinger eigenvalue near -2.9e-10; shifting its spectrum
+    down by 1e-8 |V|_F fails, alone and inside a stack."""
+    p = PhysicalParams(
+        0.4110636528635846, 4882.7966867515115, 0.009258397936562218,
+        636.4555829540503, 0.4956299009404123, 0.013220750904957662,
+    )
+    vm = covariance(ground_state(to_commutative(p))).matrix
+    norm = np.linalg.norm(vm)
+    assert norm > 1e6
+    assert rs_min_eigenvalue(vm) < -1e-10
+    require_physical(vm)
+    require_physical(vm - 1e-11 * norm * np.eye(4))
+    bad = vm - 1e-8 * norm * np.eye(4)
+    with pytest.raises(UnphysicalCovariance):
+        require_physical(bad)
+    with pytest.raises(UnphysicalCovariance):
+        require_physical(np.stack([np.eye(4), vm, bad]))
+    require_physical(np.stack([np.eye(4), vm]))
+
+
 def test_variance_products_closed_form(rng):
     for p in draw_params(rng, 100, theta=(0.0, 0.8), eta=(0.0, 0.8)):
         gs = ground_state(to_commutative(p))

@@ -2,7 +2,9 @@
 
 The files under tests/golden/ were written by the code at commit
 f200eb77cdbb7026ac91be274dcbf6fbd9222a40, before the Wigner and scan
-CSV writers were rewritten.  Each case is regenerated here and compared
+CSV writers were rewritten; the analyze and szilard stdout files by
+the code at commit 645fad10d29fcf84be64ae9259d0826ce6318c4c, before
+the report JSON was built from its records.  Each case is regenerated here and compared
 byte for byte, so any change to a float's text, a separator or a blank
 line shows.  After a deliberate change of the output format, rewrite
 the files with `PYTHONPATH=src python tests/test_golden.py`.
@@ -13,6 +15,8 @@ the 21 x 17 cases go through the same calls as `ncho wigner`
 axis cannot hide.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -57,6 +61,19 @@ CLI_CASES = {
     "scan_json": ([*SCAN, "--format", "json"], (".json",)),
 }
 
+# on the constraint surface theta m1 wt1 = eta / (m2 wt2): a separable point
+CONSTRAINT = [*POINT, "--theta", "0.1", "--eta", "0.3"]
+
+# name -> argv of a command whose stdout is the output
+STDOUT_CASES = {
+    "analyze_base": ["analyze", *BASE],
+    "analyze_base_pretty": ["analyze", *BASE, "--pretty"],
+    "analyze_constraint": ["analyze", *CONSTRAINT],
+    "analyze_constraint_pretty": ["analyze", *CONSTRAINT, "--pretty"],
+    "szilard_base": ["szilard", *BASE],
+    "szilard_constraint": ["szilard", *CONSTRAINT],
+}
+
 AXES_21_17 = ((-4.0, 4.0, 21), (-3.0, 3.0, 17))
 
 
@@ -89,6 +106,15 @@ def write_case(name: str, prefix: Path) -> list:
     if name in GRID_CASES:
         make, triples = GRID_CASES[name]
         return [Path(p) for p in save_grid(make(), str(prefix), triples=triples)]
+    if name in STDOUT_CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(STDOUT_CASES[name])
+        if status != 0:
+            raise RuntimeError(f"{name}: {STDOUT_CASES[name]} failed")
+        path = Path(f"{prefix}.json")
+        path.write_text(out.getvalue())
+        return [path]
     argv, suffixes = CLI_CASES[name]
     # wigner appends .csv and .json to --out; scan writes to --out itself
     out = f"{prefix}{suffixes[0]}" if argv[0] == "scan" else str(prefix)
@@ -97,7 +123,7 @@ def write_case(name: str, prefix: Path) -> list:
     return [Path(f"{prefix}{s}") for s in suffixes]
 
 
-@pytest.mark.parametrize("name", [*CLI_CASES, *GRID_CASES])
+@pytest.mark.parametrize("name", [*CLI_CASES, *GRID_CASES, *STDOUT_CASES])
 def test_outputs_match_golden_bytes(name, tmp_path, capsys):
     for path in write_case(name, tmp_path / name):
         want = (GOLDEN / path.name).read_bytes()
@@ -106,6 +132,6 @@ def test_outputs_match_golden_bytes(name, tmp_path, capsys):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for case in [*CLI_CASES, *GRID_CASES]:
+    for case in [*CLI_CASES, *GRID_CASES, *STDOUT_CASES]:
         for path in write_case(case, GOLDEN / case):
             print(path, file=sys.stderr)

@@ -274,8 +274,8 @@ def test_eigensystem_identity_matrices_explicitly():
 
 def test_decoupled_modes_use_fallback_and_split(rng):
     """theta = eta = 0: the closed-form eigenvector covers the (x1, p1)
-    mode only; the other mode comes from the null-space route and lives
-    entirely on (x2, p2)."""
+    mode only; the other mode comes from the mode-swapped closed form and
+    lives entirely on (x2, p2)."""
     for p in draw_params(rng, 30, commutative=True):
         cp = to_commutative(p)
         es = assemble_eigensystem(cp)

@@ -298,6 +298,16 @@ def test_save_grid_files(tmp_path):
     assert meta["w_max"] > meta["w_min"] > 0
 
 
+def test_save_grid_writes_no_file_when_it_fails(tmp_path):
+    wf = wigner_form(covariance(ground_state(to_commutative(BASE))))
+    grid = WignerGrid(
+        ("x2", "p2"), {}, np.linspace(-1, 1, 3), np.zeros(0), np.zeros((3, 0)), wf
+    )
+    with pytest.raises(IndexError):
+        save_grid(grid, str(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_grid_triples_layout(tmp_path):
     wf = wigner_form(illustration_covariance())
     grid = project(wf, ("x1", "p2"), {"p1": 0.0, "x2": 0.0}, ((-1, 1, 3), (-1, 1, 3)))
