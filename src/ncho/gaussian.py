@@ -215,14 +215,17 @@ def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
     The smallest eigenvalue of V - Sigma_y/2 must reach -tol |V|_F: the
     bound is relative, because rounding in V scales with its size.  For
     a stack of matrices each one is held to its own bound; the error
-    reports the worst eigenvalue relative to |V|_F.
+    reports the worst eigenvalue relative to |V|_F.  Returns
+    rs_min_eigenvalue(V), so a caller that reports it computes it once.
     """
     m = np.asarray(v)
-    rel = rs_min_eigenvalue(m) / np.linalg.norm(m, axis=(-2, -1))
+    rs_min = rs_min_eigenvalue(m)
+    rel = rs_min / np.linalg.norm(m, axis=(-2, -1))
     if (rel < -tol).any():
         raise UnphysicalCovariance(
             f"V - Sigma_y/2 has eigenvalue {rel.min():.6e} |V|_F < -{tol:.1e} |V|_F"
         )
+    return rs_min
 
 
 def variance_products(gs: GroundState) -> tuple:

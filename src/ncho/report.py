@@ -11,7 +11,7 @@ from .gaussian import (
     GroundState,
     covariance,
     ground_state,
-    rs_min_eigenvalue,
+    require_physical,
     variance_products,
 )
 from .params import (
@@ -21,7 +21,7 @@ from .params import (
     to_commutative,
     validate,
 )
-from .separability import SeparabilityReport, _reason, inputs_obj, json_text, simon_report
+from .separability import SeparabilityReport, _reason, _simon_report, inputs_obj, json_text
 from .symplectic import EigenSystem, SpectralData, assemble_eigensystem, spectral_data
 
 
@@ -93,7 +93,8 @@ def analyze(
     es = assemble_eigensystem(cp, sd, tol=tol)
     gs = ground_state(cp, sd)
     cov = covariance(gs)
-    rep = simon_report(cov, eps_sep=eps_sep, ppt=True)
+    rs_min = require_physical(cov)
+    rep = _simon_report(cov.matrix, eps_sep, ppt=True)
     rep = dataclasses.replace(rep, reason=_reason(p, eps_c))
     return AnalysisReport(
         params=p,
@@ -103,7 +104,7 @@ def analyze(
         eigensystem=es,
         ground=gs,
         cov=cov,
-        rs_min=rs_min_eigenvalue(cov),
+        rs_min=rs_min,
         variance=variance_products(gs),
         separability=rep,
         tol=tol,

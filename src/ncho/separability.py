@@ -29,8 +29,10 @@ theta m1 wt1 = eta / (m2 wt2).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +199,11 @@ def simon_report(
     """
     m = np.asarray(v)
     require_physical(m)
+    return _simon_report(m, eps_sep, ppt)
+
+
+def _simon_report(m: np.ndarray, eps_sep: float, ppt: bool) -> SeparabilityReport:
+    """simon_report on a 4x4 array that already passed require_physical."""
     det1, det2, det12, trace_term = simon_terms(m)
     lhs, rhs, margin = simon_margin(det1, det2, det12, trace_term)
     ppt_min = ppt_verdict = None
@@ -290,20 +297,64 @@ class ScanRow:
     degenerate: bool
 
 
-@dataclass(frozen=True)
+# verdict codes of ScanResult.verdict index this tuple; scan gives code 2
+# (no verdict) exactly to the degenerate points
+VERDICTS = (ENTANGLED, SEPARABLE, "")
+NO_VERDICT = 2
+
+
+@dataclass(frozen=True, eq=False)
 class ScanResult:
+    """Scan output as columns, one entry per grid point in row-major order.
+
+    grids      : the axis values, one float64 array per axis
+    margin     : float64 margin, NaN on degenerate points
+    verdict    : int8 index into VERDICTS
+    boundary   : bool, |margin| <= eps_sep * rhs
+    degenerate : bool, a spectral or ground-state gate fired
+
+    Whether a point has a margin and a verdict is read from degenerate,
+    never from NaN: a NaN margin on a point that is not degenerate prints
+    as nan.  No per-point object is kept; rows builds ScanRows on demand.
+    """
+
     base: PhysicalParams
     axes: tuple
-    rows: list
+    grids: tuple
+    margin: np.ndarray
+    verdict: np.ndarray
+    boundary: np.ndarray
+    degenerate: np.ndarray
     eps_sep: float
 
+    @property
+    def rows(self) -> ScanRows:
+        """The points as a read-only sequence of ScanRow, built on access."""
+        return ScanRows(self)
+
+    def _row_values(self):
+        """(point, margin, verdict, boundary, degenerate) of every point as
+        Python values, in row order."""
+        degenerate = self.degenerate.tolist()
+        margins = [
+            None if d else m for m, d in zip(self.margin.tolist(), degenerate)
+        ]
+        return zip(
+            itertools.product(*[g.tolist() for g in self.grids]),
+            margins,
+            map(VERDICTS.__getitem__, self.verdict.tolist()),
+            self.boundary.tolist(),
+            degenerate,
+        )
+
     def counts(self) -> dict:
-        return {
-            "separable": sum(r.verdict == SEPARABLE for r in self.rows),
-            "entangled": sum(r.verdict == ENTANGLED for r in self.rows),
-            "boundary": sum(r.boundary for r in self.rows),
-            "degenerate": sum(r.degenerate for r in self.rows),
+        columns = {
+            "separable": self.verdict == VERDICTS.index(SEPARABLE),
+            "entangled": self.verdict == VERDICTS.index(ENTANGLED),
+            "boundary": self.boundary,
+            "degenerate": self.degenerate,
         }
+        return {name: int(np.count_nonzero(c)) for name, c in columns.items()}
 
     def csv_text(self) -> str:
         """Deterministic CSV: axis columns, margin, verdict, boundary, degenerate.
@@ -312,29 +363,65 @@ class ScanResult:
         degenerate rows leave margin and verdict empty.  Lines end in \\n.
         """
         names = [ax.name for ax in self.axes]
-        lines = [",".join(names + ["margin", "verdict", "boundary", "degenerate"])]
-        points = dict.fromkeys(x for r in self.rows for x in r.point)
-        text = {x: repr(float(x)) for x in points}  # each distinct value once
+        header = ",".join(names + ["margin", "verdict", "boundary", "degenerate"])
+        # each axis value is formatted once, not once per row it appears in
+        axis_text = [[repr(x) for x in g.tolist()] for g in self.grids]
+        points = map(",".join, itertools.product(*axis_text))
+        margins = [repr(m) for m in self.margin.tolist()]
+        for k in np.flatnonzero(self.degenerate).tolist():
+            margins[k] = ""
         flag = ("false", "true")
-        for r in self.rows:
-            # 0.0 == -0.0 share a key but not a text: zeros get their own repr
-            cells = [text[x] if x else repr(float(x)) for x in r.point]
-            cells.append("" if r.margin is None else repr(float(r.margin)))
-            cells += (r.verdict, flag[r.boundary], flag[r.degenerate])
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        # verdict, boundary and degenerate cells, shared by all rows alike
+        tails = [
+            f"{v},{flag[b]},{flag[d]}" for v in VERDICTS for b in (0, 1) for d in (0, 1)
+        ]
+        key = 4 * self.verdict.astype(np.intp) + 2 * self.boundary + self.degenerate
+        lines = map("{},{},{}".format, points, margins, map(tails.__getitem__, key.tolist()))
+        return "\n".join(itertools.chain([header], lines)) + "\n"
 
     def json_obj(self) -> dict:
+        keys = [f.name for f in dataclasses.fields(ScanRow)]
         return {
             "base": dataclasses.asdict(self.base),
             "axes": [dataclasses.asdict(ax) for ax in self.axes],
             "eps_sep": self.eps_sep,
             "counts": self.counts(),
-            "rows": [dict(vars(r)) for r in self.rows],
+            "rows": [dict(zip(keys, values)) for values in self._row_values()],
         }
 
     def json_text(self, *, pretty: bool = False) -> str:
         return json_text(self.json_obj(), pretty=pretty)
+
+
+class ScanRows(Sequence):
+    """Read-only view of a ScanResult as ScanRows, built on each access."""
+
+    def __init__(self, result: ScanResult):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.margin)
+
+    def __iter__(self):
+        return itertools.starmap(ScanRow, self._result._row_values())
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        i = range(len(self))[k]  # negative indices; IndexError out of range
+        res = self._result
+        shape = tuple(len(g) for g in res.grids)
+        point = tuple(
+            float(g[j]) for g, j in zip(res.grids, np.unravel_index(i, shape))
+        )
+        degenerate = bool(res.degenerate[i])
+        return ScanRow(
+            point=point,
+            margin=None if degenerate else float(res.margin[i]),
+            verdict=VERDICTS[res.verdict[i]],
+            boundary=bool(res.boundary[i]),
+            degenerate=degenerate,
+        )
 
 
 # grid points per batched evaluation in scan.  It bounds the working
@@ -344,12 +431,12 @@ SCAN_CHUNK = 2048
 
 
 def _scan_columns(p: PhysicalParams, eps_sep: float) -> tuple:
-    """(margin, verdict, boundary, degenerate) lists for the grid points
-    p, whose axis fields are arrays.
+    """(margin, verdict, boundary, degenerate) arrays for the grid points
+    p, whose axis fields are arrays: the columns of ScanResult.
 
     The closed forms and gate predicates are those of classify, evaluated
-    on arrays.  Rows that trip a gate are degenerate, with margin None and
-    an empty verdict.  Invalid points raise through validate, and an
+    on arrays.  Points that trip a gate are degenerate, with a NaN margin
+    and the empty verdict.  Invalid points raise through validate, and an
     unphysical covariance through require_physical.
     """
     with np.errstate(all="ignore"):  # gated rows may divide by zero
@@ -369,15 +456,13 @@ def _scan_columns(p: PhysicalParams, eps_sep: float) -> tuple:
     v = covariance_matrix(l11[ok], l22[ok], y[ok], d[ok])
     require_physical(v)
     _, rhs, margin_ok = simon_margin(*simon_terms(v))
-    margin = np.full(ok.shape, None, dtype=object)
+    margin = np.full(ok.shape, np.nan)
     margin[ok] = margin_ok
-    kind = np.full(ok.shape, 2)  # index into labels; 2 marks a degenerate row
-    kind[ok] = separable(margin_ok, rhs, eps_sep)
-    labels = (ENTANGLED, SEPARABLE, "")  # rows share these three strings
+    verdict = np.full(ok.shape, NO_VERDICT, dtype=np.int8)
+    verdict[ok] = separable(margin_ok, rhs, eps_sep)
     boundary = np.zeros(ok.shape, dtype=bool)
     boundary[ok] = on_boundary(margin_ok, rhs, eps_sep)
-    verdict = [labels[k] for k in kind.tolist()]
-    return margin.tolist(), verdict, boundary.tolist(), degenerate.tolist()
+    return margin, verdict, boundary, degenerate
 
 
 def scan(
@@ -389,30 +474,32 @@ def scan(
 ) -> ScanResult:
     """Margin and verdict over a 1D or 2D grid of physical parameters.
 
-    Rows are emitted in row-major order (axis1 outer, axis2 inner).  The
-    grid is evaluated in batches of SCAN_CHUNK points, each in a few array
+    Points are ordered row-major (axis1 outer, axis2 inner).  The grid
+    is evaluated in batches of SCAN_CHUNK points, each in a few array
     calls through the same closed forms and gates as classify, so a row
     equals classify on its point bit for bit (margin, verdict, boundary)
-    while working memory stays bounded by the chunk size.  Points that
-    trip a spectral or ground-state gate are recorded as degenerate
-    rather than raised; invalid parameter values (a grid that walks into
-    m <= 0 or theta < 0) raise the error validate gives for the first
-    such point, since the grid itself is at fault.  Scans skip the PPT
-    cross-check and the structural reason tag of classify.
+    while working memory stays bounded by the chunk size.  The result
+    keeps only the columns (about 11 bytes per point); ScanResult.rows
+    builds ScanRows on demand.  Points that trip a spectral or
+    ground-state gate are recorded as degenerate rather than raised;
+    invalid parameter values (a grid that walks into m <= 0 or
+    theta < 0) raise the error validate gives for the first such point,
+    since the grid itself is at fault.  Scans skip the PPT cross-check
+    and the structural reason tag of classify.
     """
     axes = (axis1,) if axis2 is None else (axis1, axis2)
-    grids = [ax.grid() for ax in axes]
+    grids = tuple(ax.grid() for ax in axes)
     if len(axes) == 2 and axes[0].name == axes[1].name:
         raise InvalidAxisName(f"both axes scan {axis1.name!r}")
     shape = tuple(len(g) for g in grids)
     n = math.prod(shape)
-    rows = []
+    chunks = []
     for lo in range(0, n, SCAN_CHUNK):
         idx = np.arange(lo, min(lo + SCAN_CHUNK, n))
         columns = [g[i] for g, i in zip(grids, np.unravel_index(idx, shape))]
         p = dataclasses.replace(
             base, **{AXIS_FIELDS[ax.name]: col for ax, col in zip(axes, columns)}
         )
-        points = zip(*[col.tolist() for col in columns])
-        rows.extend(map(ScanRow, points, *_scan_columns(p, eps_sep)))
-    return ScanResult(base=base, axes=axes, rows=rows, eps_sep=eps_sep)
+        chunks.append(_scan_columns(p, eps_sep))
+    margin, verdict, boundary, degenerate = map(np.concatenate, zip(*chunks))
+    return ScanResult(base, axes, grids, margin, verdict, boundary, degenerate, eps_sep)

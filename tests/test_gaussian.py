@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from ncho import (
     DegenerateGroundState,
+    DegenerateSpectrum,
     PhysicalParams,
     UnphysicalCovariance,
     covariance,
@@ -245,6 +248,34 @@ def test_physicality_bound_is_relative_to_the_size_of_v():
     with pytest.raises(UnphysicalCovariance):
         require_physical(np.stack([np.eye(4), vm, bad]))
     require_physical(np.stack([np.eye(4), vm]))
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_uniform(-4, 4),
+    log_uniform(-4, 4),
+    log_uniform(-4, 4),
+    log_uniform(-4, 4),
+    log_uniform(-4, 2),
+    log_uniform(-4, 2),
+)
+def test_ground_state_meets_robertson_schroedinger_to_rounding(m1, m2, wt1, wt2, theta, eta):
+    """rs_min >= -16 u |V|_F for the closed-form V of any ground state over
+    log-uniform masses and frequencies in [1e-4, 1e4] and theta, eta in
+    [1e-4, 1e2]; about -2.4 u |V|_F is the worst of 2e4 random points.  So
+    require_physical (bound -1e-10 |V|_F) can fire on such a V only
+    through a defect, never through rounding."""
+    cp = to_commutative(PhysicalParams(m1, m2, wt1, wt2, theta, eta))
+    try:
+        gs = ground_state(cp)
+    except (DegenerateSpectrum, DegenerateGroundState):
+        assume(False)
+    vm = covariance(gs).matrix
+    assert rs_min_eigenvalue(vm) >= -16 * 2.0**-52 * np.linalg.norm(vm)
 
 
 def test_variance_products_closed_form(rng):

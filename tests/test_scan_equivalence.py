@@ -10,6 +10,7 @@ scan CSV must equal a row-by-row, cell-by-cell formatter byte for byte.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from ncho import (
     validate,
 )
 from ncho import separability
-from ncho.separability import AXIS_FIELDS, SCAN_CHUNK
+from ncho.separability import AXIS_FIELDS, SCAN_CHUNK, VERDICTS
 
 AXES = sorted(AXIS_FIELDS)
 
@@ -147,6 +148,63 @@ def test_scan_grid_longer_than_one_chunk():
     assert_rows_match_classify(base, axes, scan(base, *axes))
 
 
+def classify_row(p, axes):
+    """The ScanRow of point p built from classify, one point at a time."""
+    point = tuple(getattr(p, AXIS_FIELDS[ax.name]) for ax in axes)
+    try:
+        rep = classify(p, ppt=False)
+    except (DegenerateSpectrum, DegenerateGroundState):
+        return ScanRow(point, None, "", False, True)
+    return ScanRow(point, rep.margin, rep.verdict, rep.boundary, False)
+
+
+def test_rows_are_a_lazy_read_only_sequence():
+    """rows reads like the list of ScanRows that classify gives point by
+    point, with Python floats, and cannot be changed."""
+    base = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.0, 0.0)
+    axes = (AxisSpec("theta", 0.0, 3.0, 13), AxisSpec("eta", 0.0, 3.0, 11))
+    res = scan(base, *axes)
+    eager = [classify_row(p, axes) for p in grid_points(base, axes)]
+    rows = res.rows
+    n = len(eager)
+    assert len(rows) == n == 143
+    assert {r.degenerate for r in eager} == {False, True}
+    assert list(rows) == eager
+    assert [rows[k] for k in range(-n, n)] == eager + eager
+    for sl in (slice(None), slice(3, 40, 7), slice(None, None, -2), slice(-5, None), slice(50, 10)):
+        assert rows[sl] == eager[sl]
+    assert all(type(x) is float for r in rows for x in r.point)
+    assert all(type(r.margin) is float for r in rows if not r.degenerate)
+    assert type(rows[7].margin) is float and type(rows[7].point[1]) is float
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[k]
+    with pytest.raises(TypeError):
+        rows[0] = eager[0]
+    with pytest.raises(AttributeError):
+        rows.append(eager[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.margin = None
+
+
+def test_scan_retains_columns_not_rows():
+    """A 300 x 300 scan holds at most 16 bytes per point: its columns take
+    8 (margin) + 3 (verdict, boundary, degenerate); a ScanRow per point
+    would take about 230."""
+    base = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.0, 0.0)
+    axes = (AxisSpec("theta", 0.0, 3.0, 300), AxisSpec("eta", 0.0, 3.0, 300))
+    scan(base, *axes)  # first-call costs are not retained by the result
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = scan(base, *axes)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(res.rows) == 300 * 300
+    assert retained <= 16 * 300 * 300
+
+
 def first_invalid(base, axes):
     """The error a per-point validate loop raises first, or None."""
     for p in grid_points(base, axes):
@@ -231,32 +289,68 @@ def test_scan_csv_matches_cell_by_cell_oracle(case):
     assert res.csv_text() == csv_oracle(res)
 
 
-# a small pool, so that axis values repeat across rows; rows built by hand
-# may hold numpy scalars
+# a small pool, so that axis values repeat; columns built by hand may
+# hold numpy scalars
 POOL = [0.0, -0.0, 5e-324, 1e-5, 0.1, 2.5, 1e16, 1e300, -3.0, math.inf, math.nan]
 VALUES = (st.sampled_from(POOL) | st.floats()).flatmap(
     lambda x: st.sampled_from([x, np.float64(x)])
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 2).flatmap(
-        lambda n: st.lists(
-            st.builds(
-                ScanRow,
-                point=st.tuples(*[VALUES] * n),
-                margin=st.none() | VALUES,
-                verdict=st.sampled_from(["separable", "entangled", ""]),
-                boundary=st.booleans(),
-                degenerate=st.booleans(),
-            ),
-            max_size=30,
-        )
+@st.composite
+def columns(draw):
+    """Axis grids and per-point columns drawn independently of each other,
+    including NaN margins on points that are not degenerate."""
+    grids = tuple(
+        np.array(draw(st.lists(VALUES, max_size=6)), dtype=float)
+        for _ in range(draw(st.integers(1, 2)))
     )
-)
-def test_csv_of_arbitrary_rows_matches_oracle(rows):
-    axes = (AxisSpec("theta", 0.0, 1.0, 2), AxisSpec("eta", 0.0, 1.0, 2))
-    width = len(rows[0].point) if rows else 2
-    res = ScanResult(PhysicalParams(1, 1, 1, 2, 0, 0), axes[:width], rows, 1e-12)
+    n = math.prod(len(g) for g in grids)
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+    return (
+        grids,
+        column(VALUES, float),
+        column(st.sampled_from(range(len(VERDICTS))), np.int8),
+        column(st.booleans(), bool),
+        column(st.booleans(), bool),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns())
+def test_csv_of_arbitrary_rows_matches_oracle(cols):
+    grids, margin, verdict, boundary, degenerate = cols
+    axes = (AxisSpec("theta", 0.0, 1.0, 2), AxisSpec("eta", 0.0, 1.0, 2))[: len(grids)]
+    res = ScanResult(
+        PhysicalParams(1, 1, 1, 2, 0, 0),
+        axes,
+        grids,
+        margin,
+        verdict,
+        boundary,
+        degenerate,
+        1e-12,
+    )
     assert res.csv_text() == csv_oracle(res)
+
+
+def test_nan_margin_prints_nan_unless_degenerate():
+    res = ScanResult(
+        PhysicalParams(1, 1, 1, 2, 0, 0),
+        (AxisSpec("theta", 0.0, 1.0, 2),),
+        (np.array([0.0, -0.0]),),
+        np.array([math.nan, math.nan]),
+        np.array([0, 2], dtype=np.int8),
+        np.array([False, False]),
+        np.array([False, True]),
+        1e-12,
+    )
+    assert res.csv_text().split("\n")[1:3] == [
+        "0.0,nan,entangled,false,false",
+        "-0.0,,,false,true",
+    ]
+    first, second = res.rows
+    assert math.isnan(first.margin) and second.margin is None
