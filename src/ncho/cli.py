@@ -36,6 +36,14 @@ def _add_param_flags(sub: argparse.ArgumentParser, *, required: bool):
         sub.add_argument(f"--{name}", type=float, required=required, default=None)
 
 
+def tolerance(text: str) -> float:
+    """argparse type of --tol, --eps-sep and --eps-c: a finite number > 0."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _params(values) -> PhysicalParams:
     """PhysicalParams from a mapping of CLI names to values."""
     return PhysicalParams(**{AXIS_FIELDS[n]: values[n] for n in PARAM_FLAGS})
@@ -195,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = subs.add_parser("analyze", help="full report for one parameter point")
     _add_param_flags(a, required=True)
-    a.add_argument("--tol", type=float, default=1e-9)
-    a.add_argument("--eps-sep", type=float, default=1e-12)
-    a.add_argument("--eps-c", type=float, default=1e-12)
+    a.add_argument("--tol", type=tolerance, default=1e-9)
+    a.add_argument("--eps-sep", type=tolerance, default=1e-12)
+    a.add_argument("--eps-c", type=tolerance, default=1e-12)
     a.add_argument("--pretty", action="store_true")
     a.set_defaults(func=cmd_analyze)
 
@@ -205,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(s, required=False)
     s.add_argument("--axis1", required=True, metavar="name=start:stop:steps")
     s.add_argument("--axis2", default=None, metavar="name=start:stop:steps")
-    s.add_argument("--eps-sep", type=float, default=1e-12)
+    s.add_argument("--eps-sep", type=tolerance, default=1e-12)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out", default=None, help="write to file instead of stdout")
     s.add_argument("--pretty", action="store_true")

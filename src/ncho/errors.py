@@ -35,14 +35,14 @@ class NegativeDeformation(NchoError):
 
 class DegenerateSpectrum(NchoError):
     """The two normal-mode frequencies coincide (or one vanishes); the
-    closed-form eigenvector expressions are ill-conditioned there."""
+    normal-mode basis is not unique (or the Bopp map is singular) there."""
 
     exit_code = 3
 
 
 class EigenvectorResidualTooLarge(NchoError):
-    """Neither the closed-form eigenvector nor its mode-swapped form met
-    the residual tolerance."""
+    """The norm u (-Sigma_y) u^dagger of an eigenvector built from the
+    so(4) projectors is not a finite positive number."""
 
 
 class SingularQ(NchoError):

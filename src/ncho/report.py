@@ -62,7 +62,6 @@ class AnalysisReport:
             "commutative": dict(vars(cp)),
             "spectral": {**vars(sd), "b_cross_coefficient": cross},
             "residuals": dict(self.eigensystem.residuals),
-            "used_fallback": list(self.eigensystem.used_fallback),
             "ground_state": dict(vars(self.ground)),
             "covariance": [[float(x) for x in row] for row in self.cov.matrix],
             "rs_min_eigenvalue": self.rs_min,
@@ -90,7 +89,7 @@ def analyze(
     validate(p)
     cp = to_commutative(p)
     sd = spectral_data(cp)
-    es = assemble_eigensystem(cp, sd, tol=tol)
+    es = assemble_eigensystem(p, cp, sd, tol=tol)
     gs = ground_state(cp, sd)
     cov = covariance(gs)
     rs_min = require_physical(cov)

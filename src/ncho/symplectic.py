@@ -15,12 +15,22 @@ The characteristic polynomial of Omega is biquadratic,
 
     lambda^4 - b lambda^2 + c = 0,
 
-so both normal-mode frequencies have closed forms.  Left eigenvectors of
-Omega also have closed forms (for a mode that decouples from (x1, p1),
-the same form with the two modes relabelled); rows u_i (eigenvalue
--i lambda_i) and columns v_i = -Sigma_y u_i^dagger are assembled into a
-similarity transformation Q that diagonalizes Omega and carries the metric
-structure needed for ladder operators:
+so both normal-mode frequencies have closed forms.
+
+The eigenvectors come from the physical variables Y = T X (T the Bopp
+matrix).  Scaled by D^1/2 = diag(sqrt(m1) wt1, 1/sqrt(m1), sqrt(m2) wt2,
+1/sqrt(m2)) they make H = (1/2)|D^1/2 Y|^2, with the real antisymmetric
+commutator table A = D^1/2 K D^1/2, K = T (i Sigma_y) T^T.  A splits
+into commuting self-dual and anti-self-dual halves A+- = (A +- *A)/2
+(so(4) = su(2) + su(2)), A+-^2 = -|a+-|^2, so (1 - i s A+-/|a+-|)/2 are
+projectors.  With +i on both halves (mode 1), or +i on A+ and -i on A-
+(mode 2; |a+|^2 - |a-|^2 = Pf A >= 0), their product has rank one and a
+column of it is the eigenvector of A for +i lambda, which gives the left
+eigenvector u of Omega for -i lambda.  Rows u_i, normalized to
+u (-Sigma_y) u^dagger = 1 with the first significant component positive
+imaginary, and columns v_i = -Sigma_y u_i^dagger make a similarity
+transformation Q that diagonalizes Omega and carries the metric needed
+for ladder operators:
 
     Q^-1 Omega Q = Omega_D,
     Q^-1 (-Sigma_y) (Q^-1)^dagger = diag(1, -1, 1, -1).
@@ -30,19 +40,20 @@ the mode operators zeta = Q^-1 X, i.e. the transformation is a (complex
 form of a) symplectic one and the modes are genuine bosonic modes.
 
 Both identities, the eigenvector relations and Q Q^-1 = I are checked
-numerically at assembly time and stored as relative Frobenius residuals.
-The relation Q^dagger = -Sigma_z Q^-1 Sigma_y needs no check: it holds
-by construction of v_i from u_i.
+at assembly time against Omega, built from the commutative side, and
+stored as relative Frobenius residuals.  Q^dagger = -Sigma_z Q^-1
+Sigma_y needs no check: Q is built from Q^-1 by that relation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, EigenvectorResidualTooLarge, SingularQ
-from .params import CommutativeParams
+from .params import CommutativeParams, PhysicalParams, _bopp_matrix
 
 # Pauli y and its two-mode block version, ordering (x1,p1,x2,p2)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -90,8 +101,8 @@ class EigenSystem:
     omega_d       : diag(-i l1, +i l1, -i l2, +i l2)
     sigma         : diag(l1, l1, l2, l2)
     residuals     : relative Frobenius residuals of the defining identities
-    used_fallback : per mode, True when the closed-form eigenvector was
-                    unusable and its mode-swapped form was taken
+    used_fallback : always (False, False): one construction covers every
+                    mode; bench/tracing.py counts eigenvectors from it
     """
 
     u1: np.ndarray
@@ -130,18 +141,18 @@ def build_omega(hm: np.ndarray) -> np.ndarray:
 DEG_TOL = 1e-10
 
 
-def mode_collision(b, delta, deg_tol: float = DEG_TOL):
-    """Gate: the discriminant is below deg_tol b^2, so lambda1 ~ lambda2.
+def mode_collision(b, delta):
+    """Gate: the discriminant is below DEG_TOL b^2, so lambda1 ~ lambda2.
 
     Delta / b^2 is dimensionless, so the gate does not depend on the
     frequency scale.  Elementwise on arrays.
     """
-    return delta < deg_tol * b * b
+    return delta < DEG_TOL * b * b
 
 
-def zero_mode(b, lam2sq, deg_tol: float = DEG_TOL):
-    """Gate: lambda2^2 / b is below deg_tol, a zero-frequency mode."""
-    return lam2sq < deg_tol * b
+def zero_mode(b, lam2sq):
+    """Gate: lambda2^2 / b is below DEG_TOL, a zero-frequency mode."""
+    return lam2sq < DEG_TOL * b
 
 
 def biquadratic(cp: CommutativeParams) -> tuple:
@@ -179,7 +190,7 @@ def squared_frequencies(b, c, delta) -> tuple:
     return lam1sq, c / lam1sq
 
 
-def spectral_data(cp: CommutativeParams, *, deg_tol: float = DEG_TOL) -> SpectralData:
+def spectral_data(cp: CommutativeParams) -> SpectralData:
     """Closed-form normal-mode frequencies.
 
     The biquadratic coefficients are written through the decoupled
@@ -203,18 +214,18 @@ def spectral_data(cp: CommutativeParams, *, deg_tol: float = DEG_TOL) -> Spectra
     cancellation when c << b^2.
 
     Raises DegenerateSpectrum when the discriminant falls below
-    deg_tol * b^2 (mode collision lambda1 = lambda2) or lambda2^2 below
-    deg_tol * b (zero-frequency mode); see mode_collision and zero_mode.
+    DEG_TOL * b^2 (mode collision lambda1 = lambda2) or lambda2^2 below
+    DEG_TOL * b (zero-frequency mode); see mode_collision and zero_mode.
     """
     b, c, delta, wx2, wy2, alpha0 = biquadratic(cp)
-    if mode_collision(b, delta, deg_tol):
+    if mode_collision(b, delta):
         raise DegenerateSpectrum(
-            f"normal modes collide: Delta = {delta:.6e} < {deg_tol * b * b:.6e}"
+            f"normal modes collide: Delta = {delta:.6e} < {DEG_TOL * b * b:.6e}"
         )
     lam1sq, lam2sq = squared_frequencies(b, c, delta)
-    if zero_mode(b, lam2sq, deg_tol):
+    if zero_mode(b, lam2sq):
         raise DegenerateSpectrum(
-            f"zero-frequency mode: lambda2^2 = {lam2sq:.6e} < {deg_tol * b:.6e}"
+            f"zero-frequency mode: lambda2^2 = {lam2sq:.6e} < {DEG_TOL * b:.6e}"
         )
     return SpectralData(
         b=float(b),
@@ -228,83 +239,61 @@ def spectral_data(cp: CommutativeParams, *, deg_tol: float = DEG_TOL) -> Spectra
     )
 
 
-def _fix_sign(u: np.ndarray) -> np.ndarray:
-    """Flip the overall sign so the first significant component points up.
-
-    "Up" means positive imaginary part, or positive real part for a
-    component with negligible imaginary part.
-    """
-    amax = np.max(np.abs(u))
-    for comp in u:
-        if abs(comp) > 1e-12 * amax:
-            if abs(comp.imag) > 1e-12 * abs(comp):
-                return u if comp.imag > 0 else -u
-            return u if comp.real > 0 else -u
-    return u
-
-
-def _eig_residual(u: np.ndarray, omega: np.ndarray, lam: float) -> float:
-    r = u @ omega + 1.0j * lam * u
-    return float(np.linalg.norm(r) / (np.linalg.norm(u) * np.linalg.norm(omega)))
-
-
-def _closed_form(lam, mu1, mu2, w2, nu1, nu2) -> np.ndarray:
-    """Unnormalized left eigenvector of Omega for eigenvalue -i lam:
-
-        u ~ ( -i lam mu1 mu2 (lam^2 - w2^2 - 4 nu1 nu2),
-              mu2 (lam^2 - w2^2) + 4 mu1 nu1^2,
-              2 nu1 mu1 mu2 (lam^2 - 4 nu1 nu2) + 2 nu2 mu2^2 w2^2,
-              2 i lam (mu1 nu1 + mu2 nu2) )
-    """
-    nunu = nu1 * nu2
-    w2s = w2**2
-    lam2 = lam * lam
+def _antisymmetric(a01, a02, a13, a23) -> np.ndarray:
+    """Real antisymmetric 4x4 with these upper entries and A03 = A12 = 0."""
     return np.array(
         [
-            -1.0j * lam * mu1 * mu2 * (lam2 - w2s - 4.0 * nunu),
-            mu2 * (lam2 - w2s) + 4.0 * mu1 * nu1**2,
-            2.0 * nu1 * mu1 * mu2 * (lam2 - 4.0 * nunu) + 2.0 * nu2 * mu2**2 * w2s,
-            2.0j * lam * (mu1 * nu1 + mu2 * nu2),
+            [0.0, a01, a02, 0.0],
+            [-a01, 0.0, 0.0, a13],
+            [-a02, 0.0, 0.0, a23],
+            [0.0, -a13, -a23, 0.0],
         ]
     )
 
 
-def _left_eigenvector(
-    cp: CommutativeParams,
-    omega: np.ndarray,
-    lam: float,
-    tol: float,
-) -> tuple:
-    """Left eigenvector u with u Omega = -i lam u, normalized and sign fixed.
+_EYE = np.eye(4)
+# s per mode in the projector product (1 - i A+)(1 - i s A-)
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
-    Returns (u, swapped).  _closed_form degenerates to the zero vector
-    for a mode that decouples from (x1, p1) (e.g. nu1 = nu2 = 0).
-    Relabelling the modes maps Omega to itself under (mu1, mu2, w1, w2,
-    nu1, nu2) -> (mu2, mu1, w2, w1, -nu2, -nu1) with the components
-    reordered (u2, u3, u0, u1); that mode-swapped closed form is used
-    instead, and swapped is True.  Normalization fixes u (-Sigma_y) u^dagger = 1, which is positive on
-    this eigenvalue branch.
+
+def _mode_rows(p: PhysicalParams) -> np.ndarray:
+    """Rows (u1, u2), u_i Omega = -i lambda_i u_i, from the so(4) split.
+
+    A has four nonzero upper entries, so its Hodge dual swaps A01 with
+    A23 and A02 with -A13; A+- are scaled to A+-^2 = -1 by the norm of
+    their first row.  u = v^T D^1/2 T, v the largest-diagonal column.
     """
-    u = _closed_form(lam, cp.mu1, cp.mu2, cp.w2, cp.nu1, cp.nu2)
-    swapped = bool(np.linalg.norm(u) < 1e-300 or _eig_residual(u, omega, lam) > tol)
-    if swapped:
-        u = _closed_form(lam, cp.mu2, cp.mu1, cp.w1, -cp.nu2, -cp.nu1)[[2, 3, 0, 1]]
-        if _eig_residual(u, omega, lam) > tol:
+    hbar_e = 1.0 + p.theta * p.eta / 4.0
+    rm = math.sqrt(p.m1 * p.m2)
+    a01, a23 = p.wt1 * hbar_e, p.wt2 * hbar_e
+    a02, a13 = rm * p.wt1 * p.wt2 * p.theta, p.eta / rm
+    s01, s02, d01, d02 = a01 + a23, a02 - a13, a01 - a23, a02 + a13
+    a_plus = _antisymmetric(s01, s02, -s02, s01) / math.hypot(s01, s02)
+    a_minus = _antisymmetric(d01, d02, d02, -d01) / math.hypot(d01, d02)
+    # (1 - i A+)(1 - i s A-) = 1 - s A+ A- - i (A+ + s A-), diagonal 1 - s (A+ A-)_jj
+    prod = a_plus @ a_minus
+    proj = _EYE - _SIGNS * prod - 1.0j * (a_plus + _SIGNS * a_minus)
+    diag = prod.diagonal().tolist()
+    j1, j2 = diag.index(min(diag)), diag.index(max(diag))
+    d_half = np.sqrt([p.m1, 1.0 / p.m1, p.m2, 1.0 / p.m2]) * [p.wt1, 1.0, p.wt2, 1.0]
+    v = np.array([proj[0, :, j1], proj[1, :, j2]])
+    u = v @ (d_half[:, None] * _bopp_matrix(p))
+    phase = []
+    for row in u.tolist():
+        # u (-Sigma_y) u^dagger = -2 Im(u0 u1* + u2 u3*)
+        norm = -2.0 * (row[0] * row[1].conjugate() + row[2] * row[3].conjugate()).imag
+        if not 0.0 < norm < math.inf:
             raise EigenvectorResidualTooLarge(
-                f"residual for lambda = {lam:.6g} exceeds {tol:.1e} "
-                "on both the closed form and its mode-swapped form"
+                f"norm u (-Sigma_y) u^dagger = {norm:.6g} is not finite and > 0"
             )
-    n = float(np.real(u @ (-SIGMA_Y) @ u.conj()))
-    if n <= 0.0:
-        raise EigenvectorResidualTooLarge(
-            f"norm u (-Sigma_y) u^dagger = {n:.6g} is not positive for "
-            f"lambda = {lam:.6g}; wrong eigenvalue branch"
-        )
-    u = u / np.sqrt(n)
-    return _fix_sign(u), swapped
+        big = 1e-12 * max(map(abs, row))
+        lead = next(c for c in row if abs(c) > big)
+        phase.append(1.0j * lead.conjugate() / (abs(lead) * math.sqrt(norm)))
+    return u * np.array(phase)[:, None]
 
 
 def assemble_eigensystem(
+    p: PhysicalParams,
     cp: CommutativeParams,
     sd: SpectralData | None = None,
     *,
@@ -312,30 +301,30 @@ def assemble_eigensystem(
 ) -> EigenSystem:
     """Build Q, Q^-1 and the diagonalized forms, verifying all identities.
 
-    Q^-1 is assembled from the eigenvector rows (u1, u1*, u2, u2*), not by
-    matrix inversion; the residual of Q Q^-1 = I certifies it.  Raises
-    SingularQ when that residual exceeds tol, and DegenerateSpectrum /
-    EigenvectorResidualTooLarge propagate from the earlier stages.
+    cp = to_commutative(p); the rows u_i come from p, Omega from cp.  Q^-1
+    is the stack of rows (u1, u1*, u2, u2*), not an inverse; the residual
+    of Q Q^-1 = I certifies it, and SingularQ is raised when it exceeds tol.
     """
     if sd is None:
         sd = spectral_data(cp)
     omega = build_omega(build_hamiltonian(cp))
-    u1, fb1 = _left_eigenvector(cp, omega, sd.lambda1, tol)
-    u2, fb2 = _left_eigenvector(cp, omega, sd.lambda2, tol)
-    v1 = -SIGMA_Y @ u1.conj()
-    v2 = -SIGMA_Y @ u2.conj()
-    q = np.column_stack([v1, v1.conj(), v2, v2.conj()])
-    q_inv = np.vstack([u1, u1.conj(), u2, u2.conj()])
+    u = _mode_rows(p)
+    q_inv = np.array([u[0], u[0].conj(), u[1], u[1].conj()])
+    # columns v1, v1*, v2, v2*: Q = -Sigma_y (Q^-1)^dagger Sigma_z
+    q = -SIGMA_Y @ q_inv.conj().T @ LADDER_METRIC
     omega_d = np.diag(
         [-1.0j * sd.lambda1, 1.0j * sd.lambda1, -1.0j * sd.lambda2, 1.0j * sd.lambda2]
     )
     sigma = np.diag([sd.lambda1, sd.lambda1, sd.lambda2, sd.lambda2])
-    r_inv = float(np.linalg.norm(q @ q_inv - np.eye(4)) / 2.0)
+    r_inv = float(np.linalg.norm(q @ q_inv - _EYE) / 2.0)
     if r_inv > tol:
         raise SingularQ(f"|Q Q^-1 - I| = {r_inv:.3e} exceeds {tol:.1e}")
+    lam = np.array([[sd.lambda1], [sd.lambda2]])
+    r_eig = np.linalg.norm(u @ omega + 1.0j * lam * u, axis=1)
+    r_eig /= np.linalg.norm(u, axis=1) * np.linalg.norm(omega)
     residuals = {
-        "eigvec_1": _eig_residual(u1, omega, sd.lambda1),
-        "eigvec_2": _eig_residual(u2, omega, sd.lambda2),
+        "eigvec_1": float(r_eig[0]),
+        "eigvec_2": float(r_eig[1]),
         "inverse": r_inv,
         "diagonalization": float(
             np.linalg.norm(q_inv @ omega @ q - omega_d) / np.linalg.norm(omega_d)
@@ -346,14 +335,14 @@ def assemble_eigensystem(
     }
     residuals["max"] = max(residuals.values())
     return EigenSystem(
-        u1=u1,
-        u2=u2,
-        v1=v1,
-        v2=v2,
+        u1=u[0],
+        u2=u[1],
+        v1=q[:, 0],
+        v2=q[:, 2],
         q=q,
         q_inv=q_inv,
         omega_d=omega_d,
         sigma=sigma,
         residuals=residuals,
-        used_fallback=(fb1, fb2),
+        used_fallback=(False, False),
     )

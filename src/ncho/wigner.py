@@ -126,12 +126,10 @@ class WignerGrid:
         }
 
 
-def wigner_form(
-    v: CovarianceMatrix | np.ndarray, *, deg_tol: float = 1e-12
-) -> WignerForm:
+def wigner_form(v: CovarianceMatrix | np.ndarray) -> WignerForm:
     """Exponent matrix M = 2 Omega^T V Omega of W from the covariance matrix.
 
-    det M below deg_tol (relative to the diagonal scale) marks the form
+    det M below 1e-12 (relative to the diagonal scale) marks the form
     degenerate.  A normalizable form must come from a pure state,
     |2 M V - 1| <= 1e-9 (Frobenius norm); otherwise M is not the
     exponent of V and ValueError is raised.
@@ -141,7 +139,7 @@ def wigner_form(
     det = float(np.linalg.det(m))
     dscale = float(np.prod(np.diag(m))) or 1.0
     raw = 2.0 / np.pi
-    if det <= deg_tol * abs(dscale):
+    if det <= 1e-12 * abs(dscale):
         return WignerForm(m=m, norm=raw, raw_prefactor=raw, degenerate=True)
     impurity = float(np.linalg.norm(2.0 * m @ mv - np.eye(4)))
     if impurity > 1e-9:
@@ -236,7 +234,7 @@ def marginal_position(
         raise DegenerateForm("momentum block is not positive definite")
     schur = mqq - mqr @ np.linalg.solve(mrr, mqr.T)
     eig = np.linalg.eigvalsh(schur)
-    if eig.min() <= 1e-12 * max(eig.max(), 1.0):
+    if eig.min() <= 1e-12 * eig.max():
         raise DegenerateForm(
             f"position marginal is not normalizable (min eig {eig.min():.3e})"
         )

@@ -143,7 +143,7 @@ def test_criterion_04_eigensystem_identities():
     rng = np.random.default_rng(SEED + 3)
     for p in draw_params(rng, 1_000):
         cp = to_commutative(p)
-        es = assemble_eigensystem(cp, spectral_data(cp))
+        es = assemble_eigensystem(p, cp, spectral_data(cp))
         assert es.residuals["max"] < 1e-9
 
 

@@ -40,16 +40,6 @@ def test_analyze_reports_full_pipeline(capsys):
     assert len(obj["covariance"]) == 4
 
 
-def test_analyze_commutative_point_reports_swapped_eigenvector(capsys):
-    argv = ["analyze", *BASE_FLAGS, "--theta", "0.0", "--eta", "0.0"]
-    code, out, err = run(capsys, argv)
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["used_fallback"] == [True, False]  # lambda1 = w2 lives on (x2, p2)
-    assert obj["residuals"]["max"] < 1e-14
-    assert obj["separability"]["reason"] == "theta_eta_zero"
-
-
 def test_analyze_residual_above_tol_exits_4(capsys, monkeypatch):
     def analyze_with_bad_residual(p, **kw):
         rep = ncho.analyze(p, **kw)
@@ -92,6 +82,30 @@ def test_analyze_rejects_bad_parameters(capsys, patch):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("analyze", "--tol"),
+        ("analyze", "--eps-sep"),
+        ("analyze", "--eps-c"),
+        ("scan", "--eps-sep"),
+    ],
+)
+def test_tolerance_flags_reject_non_finite_or_non_positive(capsys, command, flag, value):
+    """A NaN eps_sep called the separable point theta = 0.1 entangled and
+    printed NaN, which is not JSON; an infinite one made every point
+    separable."""
+    argv = ["--m1", "1", "--m2", "1.5", "--w1", "1", "--w2", "2", "--eta", "0.3"]
+    argv += ["--theta", "0.1"] if command == "analyze" else ["--axis1", "theta=0:0.2:3"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be a finite number > 0" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -292,6 +306,21 @@ def test_wigner_physical_point_marginal(capsys, tmp_path):
     assert meta["kind"] == "position_marginal"
     assert meta["plane"] == ["x1", "x2"]
     assert meta["degenerate"] is False
+
+
+def test_wigner_marginal_of_wide_state(capsys, tmp_path):
+    """<x1^2> = 5e12: the position block is tiny in absolute terms but well
+    conditioned, and the marginal gate is relative."""
+    prefix = str(tmp_path / "wide")
+    argv = [
+        "wigner", "--m1", "1e-6", "--m2", "1e-6", "--w1", "1e-7", "--w2", "2e-7",
+        "--theta", "0", "--eta", "0", "--marginal", "--out", prefix,
+    ]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    meta = json.loads((tmp_path / "wide.json").read_text())
+    assert meta["kind"] == "position_marginal"
+    assert meta["w_max"] > 0.0
 
 
 def test_wigner_triples_layout(capsys, tmp_path):
