@@ -40,7 +40,7 @@ print(f"  |lambda1 - closed form| = {abs(lam_num[1] - sd.lambda1):.3e}")
 print(f"  |lambda2 - closed form| = {abs(lam_num[0] - sd.lambda2):.3e}")
 
 es = assemble_eigensystem(p, cp, sd)
-print("\neigensystem identity residuals (eigenvectors, Q Q^-1, diagonalization, ladder)")
+print("\neigensystem identity residuals (eigenvectors, diagonalization, ladder; ladder also certifies Q^-1 Q = 1)")
 for key, value in es.residuals.items():
     print(f"  {key:16s} {value:.3e}")
 

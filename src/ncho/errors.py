@@ -12,14 +12,15 @@ class NchoError(Exception):
 
 
 class NonPositiveParameter(NchoError):
-    """A parameter that must be strictly positive is zero or negative."""
+    """A parameter is outside its domain: zero or negative where it must
+    be > 0, or not finite where `must` says so (a measurement angle)."""
 
     exit_code = 2
 
-    def __init__(self, field, value):
+    def __init__(self, field, value, must="> 0"):
         self.field = field
         self.value = value
-        super().__init__(f"parameter '{field}' must be > 0, got {value!r}")
+        super().__init__(f"parameter '{field}' must be {must}, got {value!r}")
 
 
 class NegativeDeformation(NchoError):
@@ -35,7 +36,8 @@ class NegativeDeformation(NchoError):
 
 class DegenerateSpectrum(NchoError):
     """The two normal-mode frequencies coincide (or one vanishes); the
-    normal-mode basis is not unique (or the Bopp map is singular) there."""
+    normal-mode basis is not unique (or the Bopp map is singular) there.
+    Inputs whose spectrum overflows float64 raise it as well."""
 
     exit_code = 3
 
@@ -46,17 +48,18 @@ class EigenvectorResidualTooLarge(NchoError):
 
 
 class SingularQ(NchoError):
-    """The assembled similarity transformation failed the inverse check."""
+    """An identity residual of the assembled similarity transformation
+    (eigenvectors, diagonalization, ladder metric) exceeds its tolerance."""
 
 
-class DegenerateGroundState(NchoError):
-    """The denominator of the Gaussian exponent coefficients vanished."""
-
-    exit_code = 3
+# Past the spectral gates the ground state is never degenerate, so no
+# separate error is raised for it; the name stays for callers that catch it.
+DegenerateGroundState = DegenerateSpectrum
 
 
 class UnphysicalCovariance(NchoError):
-    """Covariance matrix violates the Robertson-Schroedinger inequality."""
+    """Covariance matrix violates the Robertson-Schroedinger inequality
+    or is not finite."""
 
 
 class EmptyRange(NchoError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGroundState, UnphysicalCovariance
+from .errors import UnphysicalCovariance
 from .params import CommutativeParams
 from .symplectic import SIGMA_Y, SpectralData, spectral_data
 
@@ -65,33 +65,14 @@ class CovarianceMatrix:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
-def vanishing_denominator(denom, scale):
-    """Gate: the exponent denominator is not safely positive relative to
-    its scale mu2 (w2^2 + lambda1 lambda2).  Elementwise."""
-    return denom <= 1e-12 * scale
-
-
-def nonpositive_coefficients(l11, l22):
-    """Gate: a real exponent coefficient is not positive.  Elementwise."""
-    return (l11 <= 0.0) | (l22 <= 0.0)
-
-
-def exponent_denominator(cp: CommutativeParams, lambda1, lambda2) -> tuple:
-    """(scale, denom) with scale = mu2 (w2^2 + lambda1 lambda2) and
-    denom = scale - 4 mu1 nu1^2.  Elementwise."""
-    scale = cp.mu2 * (cp.w2 * cp.w2 + lambda1 * lambda2)
-    return scale, scale - 4.0 * cp.mu1 * (cp.nu1 * cp.nu1)
-
-
-def exponent_coefficients(cp: CommutativeParams, lambda1, lambda2, denom) -> tuple:
-    """(lambda11, lambda22, y, d) over a denominator that passed its gate.
-
-    Elementwise; the formulas are those of ground_state.
-    """
+def exponent_coefficients(cp: CommutativeParams, lambda1, lambda2) -> tuple:
+    """(lambda11, lambda22, y, d, denom) by the formulas of ground_state.
+    Elementwise."""
     w2s = cp.w2 * cp.w2
     ll = lambda1 * lambda2
     tau = 2.0 * (lambda1 + lambda2)
     nu1s = cp.nu1 * cp.nu1
+    denom = cp.mu2 * (w2s + ll) - 4.0 * cp.mu1 * nu1s
     l11 = cp.mu1 * cp.mu2 * tau * ll / (4.0 * denom)
     l22 = cp.mu2 * tau * (cp.mu2 * w2s - 4.0 * cp.mu1 * nu1s) / (4.0 * denom)
     y = (
@@ -100,7 +81,7 @@ def exponent_coefficients(cp: CommutativeParams, lambda1, lambda2, denom) -> tup
         * (4.0 * cp.mu1 * nu1s * cp.nu2 - cp.mu2 * cp.nu2 * w2s + cp.mu1 * cp.nu1 * ll)
         / denom
     )
-    return l11, l22, y, 4.0 * l11 * l22 + y * y
+    return l11, l22, y, 4.0 * l11 * l22 + y * y, denom
 
 
 def ground_state(
@@ -123,23 +104,15 @@ def ground_state(
     coefficient (see tests/test_gaussian.py for the independent check)
     with energy (lambda1 + lambda2)/2.
 
-    Raises DegenerateGroundState when denom or either real coefficient
-    is not safely positive; for inputs that pass validation and the
-    spectral gates this does not occur, so the guard is defensive.
+    Raises only what spectral_data raises.  Past the spectral gates Hm
+    is positive definite, so mu2 w2^2 - 4 mu1 nu1^2 (mu1 times the
+    determinant of its (p1, x2) block) is positive, and with it denom,
+    lambda11 and lambda22 (see tests/test_gaussian.py).
     """
     if sd is None:
         sd = spectral_data(cp)
     l1, l2 = sd.lambda1, sd.lambda2
-    scale, denom = exponent_denominator(cp, l1, l2)
-    if vanishing_denominator(denom, scale):
-        raise DegenerateGroundState(
-            f"exponent denominator {denom:.6e} vanishes (scale {scale:.6e})"
-        )
-    l11, l22, y, d = exponent_coefficients(cp, l1, l2, denom)
-    if nonpositive_coefficients(l11, l22):
-        raise DegenerateGroundState(
-            f"non-positive exponent coefficients: {l11:.6e}, {l22:.6e}"
-        )
+    l11, l22, y, d, denom = exponent_coefficients(cp, l1, l2)
     return GroundState(
         lambda11=float(l11),
         lambda22=float(l22),
@@ -168,7 +141,12 @@ def psi0(gs: GroundState, x1, x2) -> np.ndarray:
 
 def covariance_matrix(l11, l22, y, d) -> np.ndarray:
     """The 4x4 covariance of covariance(), stacked over leading axes when
-    the coefficients are arrays."""
+    the coefficients are arrays.
+
+    A coefficient that under- or overflowed float64 gives a moment that
+    is not finite (never ZeroDivisionError); require_physical rejects it.
+    """
+    l11, l22 = np.float64(l11), np.float64(l22)
     v = np.zeros(np.shape(l11) + (4, 4))
     t = v.T  # t[j, i] is V_ij over any leading axes; V is symmetric
     t[0, 0] = 1.0 / (4.0 * l11)
@@ -219,9 +197,13 @@ def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
     rs_min_eigenvalue(V), so a caller that reports it computes it once.
     """
     m = np.asarray(v)
-    rs_min = rs_min_eigenvalue(m)
+    try:
+        rs_min = rs_min_eigenvalue(m)
+    except np.linalg.LinAlgError:
+        raise UnphysicalCovariance("V is not finite") from None
     rel = rs_min / np.linalg.norm(m, axis=(-2, -1))
-    if (rel < -tol).any():
+    # a V that is not finite gives NaN here, which fails the comparison
+    if not (rel >= -tol).all():
         raise UnphysicalCovariance(
             f"V - Sigma_y/2 has eigenvalue {rel.min():.6e} |V|_F < -{tol:.1e} |V|_F"
         )

@@ -43,11 +43,8 @@ from .gaussian import (
     covariance,
     covariance_matrix,
     exponent_coefficients,
-    exponent_denominator,
     ground_state,
-    nonpositive_coefficients,
     require_physical,
-    vanishing_denominator,
 )
 from .params import PhysicalParams, to_commutative, validate
 from .symplectic import (
@@ -286,8 +283,8 @@ class AxisSpec:
 class ScanRow:
     """One grid point: axis values, margin and verdict.
 
-    Points where the spectrum (or the ground-state construction)
-    degenerates carry degenerate=True, an empty verdict and no margin.
+    Points where the spectrum degenerates carry degenerate=True, an
+    empty verdict and no margin.
     """
 
     point: tuple
@@ -311,7 +308,7 @@ class ScanResult:
     margin     : float64 margin, NaN on degenerate points
     verdict    : int8 index into VERDICTS
     boundary   : bool, |margin| <= eps_sep * rhs
-    degenerate : bool, a spectral or ground-state gate fired
+    degenerate : bool, a spectral gate (mode_collision, zero_mode) fired
 
     Whether a point has a margin and a verdict is read from degenerate,
     never from NaN: a NaN margin on a point that is not degenerate prints
@@ -444,14 +441,8 @@ def _scan_columns(p: PhysicalParams, eps_sep: float) -> tuple:
         b, c, delta, *_ = biquadratic(cp)
         lam1sq, lam2sq = squared_frequencies(b, c, delta)
         l1, l2 = np.sqrt(lam1sq), np.sqrt(lam2sq)
-        scale, denom = exponent_denominator(cp, l1, l2)
-        l11, l22, y, d = exponent_coefficients(cp, l1, l2, denom)
-        degenerate = (
-            mode_collision(b, delta)
-            | zero_mode(b, lam2sq)
-            | vanishing_denominator(denom, scale)
-            | nonpositive_coefficients(l11, l22)
-        )
+        l11, l22, y, d, _ = exponent_coefficients(cp, l1, l2)
+        degenerate = mode_collision(b, delta) | zero_mode(b, lam1sq, lam2sq)
     ok = ~degenerate
     v = covariance_matrix(l11[ok], l22[ok], y[ok], d[ok])
     require_physical(v)
@@ -480,8 +471,9 @@ def scan(
     equals classify on its point bit for bit (margin, verdict, boundary)
     while working memory stays bounded by the chunk size.  The result
     keeps only the columns (about 11 bytes per point); ScanResult.rows
-    builds ScanRows on demand.  Points that trip a spectral or
-    ground-state gate are recorded as degenerate rather than raised;
+    builds ScanRows on demand.  Points that trip a spectral gate (the
+    ground state needs none of its own) are recorded as degenerate,
+    exactly where classify raises DegenerateSpectrum, rather than raised;
     invalid parameter values (a grid that walks into m <= 0 or
     theta < 0) raise the error validate gives for the first such point,
     since the grid itself is at fault.  Scans skip the PPT cross-check

@@ -83,7 +83,7 @@ def _check_spec(spec: MeasurementSpec):
     if not np.isfinite(spec.kbt) or spec.kbt <= 0.0:
         raise NonPositiveParameter("kbt", spec.kbt)
     if not np.isfinite(spec.angle):
-        raise NonPositiveParameter("angle", spec.angle)
+        raise NonPositiveParameter("angle", spec.angle, must="finite")
 
 
 def measurement_covariance(spec: MeasurementSpec) -> np.ndarray:
@@ -138,10 +138,9 @@ def extractable_work(
     uncertainty check, HomodyneUnsupported for mu = 0 and
     SingularMeasurement if V2 + gamma cannot be inverted.
     """
-    _check_spec(spec)
+    gamma = measurement_covariance(spec)  # checks spec before V
     m = np.asarray(v)
     require_physical(m)
-    gamma = measurement_covariance(spec)
     a = m[:2, :2]
     a_cond = conditional_covariance(m, gamma)
     det_before = float(np.linalg.det(a))

@@ -1,6 +1,7 @@
 """Exit codes, output determinism and file formats of the ncho CLI."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -40,16 +41,12 @@ def test_analyze_reports_full_pipeline(capsys):
     assert len(obj["covariance"]) == 4
 
 
-def test_analyze_residual_above_tol_exits_4(capsys, monkeypatch):
-    def analyze_with_bad_residual(p, **kw):
-        rep = ncho.analyze(p, **kw)
-        rep.eigensystem.residuals["max"] = 1.0
-        return rep
-
-    monkeypatch.setattr(cli, "analyze", analyze_with_bad_residual)
-    code, out, err = run(capsys, ["analyze", *BASE_FLAGS])
+def test_analyze_residual_above_tol_exits_4(capsys):
+    """--tol 1e-20 is below any residual that float64 reaches: the
+    eigensystem raises SingularQ, the one identity check."""
+    code, out, err = run(capsys, ["analyze", *BASE_FLAGS, "--tol", "1e-20"])
     assert (code, out) == (4, "")
-    assert err == "error: identity residual 1.000e+00 exceeds 1.0e-09\n"
+    assert re.fullmatch(r"error: identity residual \d\.\d{3}e-\d\d exceeds 1\.0e-20\n", err)
 
 
 def test_analyze_output_is_deterministic(capsys):
@@ -120,6 +117,52 @@ def test_analyze_degenerate_points_exit_3(capsys, patch):
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+EXTREME = ("1e-300", "1e-150", "1e150", "1e300")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+@pytest.mark.parametrize("w1", EXTREME)
+@pytest.mark.parametrize("m1", EXTREME)
+def test_extreme_finite_inputs_end_in_typed_errors(capsys, m1, w1):
+    """Finite inputs whose closed forms overflow float64 are degenerate
+    points: analyze exits 3 (it ended in ZeroDivisionError at 6 of these
+    16 points) and the scan marks the row (it ended in LinAlgError at 12).
+    A scan row is degenerate exactly where analyze at its point exits 3."""
+    base = ["--m1", m1, "--m2", "1.5", "--w1", w1, "--w2", "2", "--eta", "0.4"]
+    code, out, err = run(capsys, ["analyze", *base, "--theta", "0.3"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    code, out, err = run(capsys, ["scan", *base, "--axis1", "theta=0:1:3"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    for theta, *_, degenerate in rows:
+        exit_code = main(["analyze", *base, "--theta", theta])
+        capsys.readouterr()
+        assert exit_code in (0, 3, 4)
+        assert (exit_code == 3) == (degenerate == "true")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "point",
+    [
+        ("1e-44", "1e-99", "1e-78", "1e-74", "0.04"),  # L11 underflows to 0
+        ("1e-30", "1e130", "1e20", "1e18", "0"),  # L22 overflows to inf
+    ],
+)
+def test_ground_state_out_of_float64_range_exits_4(capsys, point):
+    """Past the spectral gates the ground-state formulas can still under-
+    or overflow float64 at such scales; the covariance is then not finite
+    and analyze and scan agree on exit 4 (the scan used to flag the first
+    point degenerate and end the second in LinAlgError)."""
+    flags = [f"--{k}={v}" for k, v in zip(("m1", "m2", "w1", "w2", "theta"), point)]
+    axis = f"--axis1=theta={point[4]}:{point[4]}:1"
+    for argv in (["analyze", "--eta=0"], ["scan", "--eta=0", axis]):
+        code, out, err = run(capsys, [*argv, *flags])
+        assert (code, out, err) == (4, "", "error: V is not finite\n")
 
 
 # a pure ground state whose covariance has |V|_F ~ 1.6e6: rounding puts
@@ -426,6 +469,27 @@ def test_szilard_rejects_bad_parameters(capsys, patch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_szilard_rejects_non_finite_angle(capsys):
+    code, out, err = run(capsys, ["szilard", *BASE_FLAGS, "--angle", "nan"])
+    assert (code, out) == (2, "")
+    assert err == "error: parameter 'angle' must be finite, got nan\n"
+
+
+def test_szilard_checks_the_spec_once(capsys, monkeypatch):
+    """One check of the measurement spec per run, and the order of its
+    errors is mu, then kbt, then angle."""
+    calls = []
+    check = ncho.szilard._check_spec
+    monkeypatch.setattr(ncho.szilard, "_check_spec", lambda s: calls.append(s) or check(s))
+    code, out, err = run(capsys, ["szilard", *BASE_FLAGS])
+    assert code == 0 and len(calls) == 1
+    bad = ["--mu", "-1", "--kbt", "0", "--angle", "inf"]
+    for k, field in ((0, "mu"), (2, "kbt"), (4, "angle")):
+        code, out, err = run(capsys, ["szilard", *BASE_FLAGS, *bad[k:]])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: parameter '{field}' must be")
 
 
 def test_szilard_homodyne_rejected(capsys):

@@ -8,7 +8,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from ncho import (
-    DegenerateGroundState,
     DegenerateSpectrum,
     PhysicalParams,
     UnphysicalCovariance,
@@ -22,8 +21,15 @@ from ncho import (
     to_commutative,
     variance_products,
 )
+from ncho.gaussian import exponent_coefficients
 from ncho.params import CommutativeParams
-from ncho.symplectic import SpectralData
+from ncho.symplectic import (
+    biquadratic,
+    build_hamiltonian,
+    mode_collision,
+    squared_frequencies,
+    zero_mode,
+)
 
 from conftest import constraint_params, draw_params
 
@@ -272,7 +278,7 @@ def test_ground_state_meets_robertson_schroedinger_to_rounding(m1, m2, wt1, wt2,
     cp = to_commutative(PhysicalParams(m1, m2, wt1, wt2, theta, eta))
     try:
         gs = ground_state(cp)
-    except (DegenerateSpectrum, DegenerateGroundState):
+    except DegenerateSpectrum:
         assume(False)
     vm = covariance(gs).matrix
     assert rs_min_eigenvalue(vm) >= -16 * 2.0**-52 * np.linalg.norm(vm)
@@ -302,16 +308,38 @@ def test_variance_product_is_half_iff_uncorrelated(rng):
         assert q1 == pytest.approx(0.5, abs=1e-12)
 
 
-def test_degenerate_ground_state_guard():
-    """Hand-built spectral data with mu2 (w2^2 + l1 l2) = 4 mu1 nu1^2
-    trips the denominator guard (not reachable from validated inputs)."""
-    cp = CommutativeParams(mu1=1.0, mu2=1.0, w1=1.0, w2=1.0, nu1=1.0, nu2=1.0)
-    sd = SpectralData(
-        b=10.0, c=9.0, delta=64.0, wx2=9.0, wy2=1.0, alpha0=1.0,
-        lambda1=3.0, lambda2=1.0,
-    )
-    with pytest.raises(DegenerateGroundState):
-        ground_state(cp, sd)
+def test_exponent_denominator_is_a_positive_block_determinant_past_the_gates():
+    """Why ground_state needs no gate of its own.  Past the spectral gates
+    Hm is positive definite, so q = mu2 w2^2 - 4 mu1 nu1^2 (mu1 times the
+    determinant of its (p1, x2) block) is positive, and with it
+    denom = mu2 lambda1 lambda2 + q, lambda11 and lambda22.  Checked up
+    to rounding on 20,000 log-uniform points (masses and frequencies in
+    [1e-8, 1e8], theta and eta in [1e-4, 1e2]), half of them with
+    theta eta within a factor 2 of 4, where Hm turns singular."""
+    rng = np.random.default_rng(3)
+    lo = np.log([1e-8] * 4 + [1e-4] * 2)
+    hi = np.log([1e8] * 4 + [1e2] * 2)
+    m1, m2, wt1, wt2, theta, eta = np.exp(rng.uniform(lo, hi, size=(20000, 6))).T
+    eta[::2] = 4.0 / theta[::2] * np.exp(rng.uniform(-0.7, 0.7, 10000))
+    with np.errstate(all="ignore"):
+        cp = to_commutative(PhysicalParams(m1, m2, wt1, wt2, theta, eta))
+        b, c, delta, *_ = biquadratic(cp)
+        lam1sq, lam2sq = squared_frequencies(b, c, delta)
+    ok = ~(mode_collision(b, delta) | zero_mode(b, lam1sq, lam2sq))
+    assert ok[::2].sum() > 500 and ok[1::2].sum() > 500
+    cp = CommutativeParams(**{f: v[ok] for f, v in vars(cp).items()})
+    l1, l2 = np.sqrt(lam1sq[ok]), np.sqrt(lam2sq[ok])
+    l11, l22, _, _, denom = exponent_coefficients(cp, l1, l2)
+    u = 2.0**-52
+    w2s, nu1s = cp.w2 * cp.w2, cp.nu1 * cp.nu1
+    q = cp.mu2 * w2s - 4.0 * cp.mu1 * nu1s
+    assert (q >= -4 * u * (cp.mu2 * w2s + 4.0 * cp.mu1 * nu1s)).all()
+    slack = 8 * u * (cp.mu2 * (w2s + l1 * l2) + 4.0 * cp.mu1 * nu1s)
+    assert (denom - cp.mu2 * l1 * l2 >= -slack).all()
+    assert (denom > 0).all() and (l11 > 0).all() and (l22 > 0).all()
+    for k in range(0, len(l1), len(l1) // 20):
+        hm = build_hamiltonian(CommutativeParams(**{f: v[k] for f, v in vars(cp).items()}))
+        assert cp.mu1[k] * np.linalg.det(hm[1:3, 1:3]) == pytest.approx(q[k], rel=1e-9)
 
 
 def test_energy_increases_with_deformation():

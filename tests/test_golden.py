@@ -2,9 +2,12 @@
 
 The files under tests/golden/ were written by the code at commit
 f200eb77cdbb7026ac91be274dcbf6fbd9222a40, before the Wigner and scan
-CSV writers were rewritten; the analyze and szilard stdout files by
-the code at commit 645fad10d29fcf84be64ae9259d0826ce6318c4c, before
-the report JSON was built from its records.  Each case is regenerated here and compared
+CSV writers were rewritten; the szilard stdout files by the code at
+commit 645fad10d29fcf84be64ae9259d0826ce6318c4c, before the report JSON
+was built from its records.  The analyze stdout files were written at
+that commit too, and rewritten by the first commit after
+bcecb4d564435d9534e931d5ba7a27c0f5c181fb, which dropped the `inverse`
+residual: only that line and `max` changed.  Each case is regenerated here and compared
 byte for byte, so any change to a float's text, a separator or a blank
 line shows.  After a deliberate change of the output format, rewrite
 the files with `PYTHONPATH=src python tests/test_golden.py`.

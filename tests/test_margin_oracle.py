@@ -21,7 +21,6 @@ import mpmath as mp
 
 from ncho import (
     AxisSpec,
-    DegenerateGroundState,
     DegenerateSpectrum,
     PhysicalParams,
     classify,
@@ -74,7 +73,7 @@ def test_margin_near_zero_mode_surface_matches_60_digit_oracle(rng):
         (row,) = scan(p, AxisSpec("eta", eta, eta, 1)).rows
         try:
             rep = classify(p, ppt=False)
-        except (DegenerateSpectrum, DegenerateGroundState):
+        except DegenerateSpectrum:
             assert row.degenerate, p
             continue
         assert not row.degenerate, p

@@ -24,7 +24,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncho import (
-    DegenerateGroundState,
     DegenerateSpectrum,
     MeasurementSpec,
     PhysicalParams,
@@ -69,7 +68,7 @@ def points(draw):
 def analyze_or_skip(p):
     try:
         return analyze(p)
-    except (DegenerateSpectrum, DegenerateGroundState):
+    except DegenerateSpectrum:
         assume(False)
 
 

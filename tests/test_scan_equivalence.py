@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from ncho import (
     AxisSpec,
-    DegenerateGroundState,
     DegenerateSpectrum,
     NchoError,
     NegativeDeformation,
@@ -53,7 +52,7 @@ def assert_rows_match_classify(base, axes, res):
         assert row.point == tuple(getattr(p, AXIS_FIELDS[ax.name]) for ax in axes)
         try:
             rep = classify(p, ppt=False)
-        except (DegenerateSpectrum, DegenerateGroundState):
+        except DegenerateSpectrum:
             assert row.degenerate, p
             assert (row.margin, row.verdict, row.boundary) == (None, "", False)
             continue
@@ -153,7 +152,7 @@ def classify_row(p, axes):
     point = tuple(getattr(p, AXIS_FIELDS[ax.name]) for ax in axes)
     try:
         rep = classify(p, ppt=False)
-    except (DegenerateSpectrum, DegenerateGroundState):
+    except DegenerateSpectrum:
         return ScanRow(point, None, "", False, True)
     return ScanRow(point, rep.margin, rep.verdict, rep.boundary, False)
 
