@@ -210,6 +210,21 @@ def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
     return rs_min
 
 
+PURITY_TOL = 1e-9
+
+
+def is_pure(v: CovarianceMatrix | np.ndarray) -> bool:
+    """True when |16 det V - 1| <= PURITY_TOL.
+
+    det V is the product of the squared symplectic eigenvalues, each at
+    least 1/4 on a V that passes require_physical, so there 16 det V = 1
+    exactly for a pure state.  The test is dimensionless and symplectic
+    invariant, so the spread of V's scales does not enter it; it does
+    not check physicality.
+    """
+    return abs(16.0 * float(np.linalg.det(np.asarray(v))) - 1.0) <= PURITY_TOL
+
+
 def variance_products(gs: GroundState) -> tuple:
     """(dx1 dp1, dx2 dp2); both equal (1/2) sqrt(1 + y^2 / (4 L11 L22)).
 

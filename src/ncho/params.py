@@ -184,9 +184,11 @@ def to_commutative(p: PhysicalParams) -> CommutativeParams:
     mu2 = 1.0 / inv_mu2
     k1 = p.m1 * wt1s + eta2 / (4.0 * p.m2)
     k2 = p.m2 * wt2s + eta2 / (4.0 * p.m1)
-    # np.divide: where 1/mu overflowed, mu = 0 gives inf, not ZeroDivisionError
-    w1 = np.sqrt(np.divide(k1, mu1))
-    w2 = np.sqrt(np.divide(k2, mu2))
+    # np.divide: where 1/mu overflowed, mu = 0 gives inf, not ZeroDivisionError;
+    # spectral_data's gates reject such a point, so numpy need not warn
+    with np.errstate(all="ignore"):
+        w1 = np.sqrt(np.divide(k1, mu1))
+        w2 = np.sqrt(np.divide(k2, mu2))
     nu1 = (p.eta + p.m1 * p.m2 * wt2s * p.theta) / (4.0 * p.m1)
     nu2 = (p.eta + p.m1 * p.m2 * wt1s * p.theta) / (4.0 * p.m2)
     return CommutativeParams(mu1=mu1, mu2=mu2, w1=w1, w2=w2, nu1=nu1, nu2=nu2)

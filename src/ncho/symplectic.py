@@ -228,13 +228,16 @@ def spectral_data(cp: CommutativeParams) -> SpectralData:
     DEG_TOL * b (zero-frequency mode), or when the spectrum overflows
     float64; see mode_collision and zero_mode.
     """
-    b, c, delta, wx2, wy2, alpha0 = biquadratic(cp)
-    if mode_collision(b, delta):
+    with np.errstate(all="ignore"):  # the gates below reject what overflowed
+        b, c, delta, wx2, wy2, alpha0 = biquadratic(cp)
+        lam1sq, lam2sq = squared_frequencies(b, c, delta)
+        collide = mode_collision(b, delta)
+        zero = zero_mode(b, lam1sq, lam2sq)
+    if collide:
         raise DegenerateSpectrum(
             f"normal modes collide: Delta = {delta:.6e} < {DEG_TOL * b * b:.6e}"
         )
-    lam1sq, lam2sq = squared_frequencies(b, c, delta)
-    if zero_mode(b, lam1sq, lam2sq):
+    if zero:
         if not (b > 0.0 and math.isfinite(lam1sq) and math.isfinite(lam2sq)):
             raise DegenerateSpectrum(
                 f"spectrum overflows float64: b = {b:.6e}, "

@@ -16,16 +16,17 @@ conditioned mode is set by the entropy drop:
 
 Every spec here is minimum uncertainty (det gamma = 1/4), and the
 ground state is pure, so the conditioned mode ends up pure as well:
-det V1' = 1/4 and the work is independent of mu and angle on this
-family.  mu = 1 is the heterodyne measurement (gamma = 1/2 identity);
-for the oscillator ground state it admits the closed form
+det V1' = 1/4 and W = (kB T / 2) ln(4 det V1), whatever mu and angle.
+For any pure two-mode state the standard form gives
+4 det V1 - 1 = -4 det C = s (Adesso & Illuminati, J. Phys. A 40, 7821
+(2007)), so on a pure V the work has the closed form
 
-    W = -(kB T / 2) ln[ (1 - y^2/(d + 2 L11)) (1 - y^2/(d (1 + 2 L22))) ]
+    W = (kB T / 2) log1p(s),      s = -4 det C,
 
-in terms of the exponent coefficients, which the log-det route must
-reproduce identically.  W vanishes exactly when the modes are
-uncorrelated (y = 0) and is positive otherwise: the engine runs on the
-correlation alone.
+which the log-det route must reproduce.  On the ground state C has two
+exact zeros, s = y^2 / (4 L11 L22) has no cancellation, and W vanishes
+exactly when the modes are uncorrelated (y = 0) and is positive
+otherwise: the engine runs on the correlation alone.
 
 The homodyne limit mu -> 0 (or infinity) needs a rank-deficient gamma
 and is not implemented; mu = 0 raises HomodyneUnsupported.
@@ -33,12 +34,13 @@ and is not implemented; mu = 0 raises HomodyneUnsupported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HomodyneUnsupported, NonPositiveParameter, SingularMeasurement
-from .gaussian import CovarianceMatrix, require_physical
+from .gaussian import CovarianceMatrix, is_pure, require_physical
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ class MeasurementSpec:
 class SzilardResult:
     """Extracted work and the determinants behind it.
 
-    work_closed_form is filled only for the heterodyne case (mu = 1) on
-    a covariance matrix of the ground-state family; it must agree with
+    work_closed_form, (kbt/2) log1p(-4 det C), is filled for every pure
+    V (gaussian.is_pure) and None for a mixed one; it must agree with
     work to rounding.
     """
 
@@ -112,23 +114,6 @@ def conditional_covariance(
     return a - c @ np.linalg.solve(denom, c.T)
 
 
-def _family_coefficients(m: np.ndarray):
-    """(L11, L22, y, d) read back from a ground-state covariance matrix."""
-    l11 = 1.0 / (4.0 * m[0, 0])
-    l22 = 1.0 / (4.0 * m[2, 2])
-    y = -m[0, 3] / m[0, 0]
-    return l11, l22, y, 4.0 * l11 * l22 + y * y
-
-
-def _is_family(m: np.ndarray) -> bool:
-    scale = float(np.max(np.abs(m)))
-    zeros = ((0, 1), (0, 2), (1, 3), (2, 3))
-    return all(
-        abs(m[i, j]) <= 1e-10 * scale and abs(m[j, i]) <= 1e-10 * scale
-        for i, j in zeros
-    )
-
-
 def extractable_work(
     v: CovarianceMatrix | np.ndarray, spec: MeasurementSpec
 ) -> SzilardResult:
@@ -146,15 +131,8 @@ def extractable_work(
     det_before = float(np.linalg.det(a))
     det_after = float(np.linalg.det(a_cond))
     work = 0.5 * spec.kbt * float(np.log(det_before / det_after))
-    closed = None
-    if spec.mu == 1.0 and _is_family(m):
-        l11, l22, y, d = _family_coefficients(m)
-        closed = -0.5 * spec.kbt * float(
-            np.log(
-                (1.0 - y * y / (d + 2.0 * l11))
-                * (1.0 - y * y / (d * (1.0 + 2.0 * l22)))
-            )
-        )
+    s = 4.0 * (m[0, 3] * m[1, 2] - m[0, 2] * m[1, 3])  # -4 det C
+    closed = 0.5 * spec.kbt * math.log1p(s) if is_pure(m) else None
     return SzilardResult(
         work=work,
         work_closed_form=closed,

@@ -10,16 +10,16 @@ with covariance V the exponent matrix is the congruence
 
     M = 2 Omega^T V Omega,      Omega = i Sigma_y,
 
-which equals inv(V)/2 because purity means (Omega V)^2 = -1/4, that is
-2 M V = 1 (Adesso & Illuminati, J. Phys. A 40, 7821 (2007)).  Omega
-swaps x_i and p_i within each mode, so <p1^2> sets the x1 x1 entry of
-M, <p1 x2> the x1 p2 entry, and so on.  The tests check M against
-inv(V)/2 and against the defining Fourier integral by quadrature.
+which equals inv(V)/2 because purity means (Omega V)^2 = -1/4 (Adesso &
+Illuminati, J. Phys. A 40, 7821 (2007)).  Omega swaps x_i and p_i
+within each mode, so <p1^2> sets the x1 x1 entry of M, <p1 x2> the
+x1 p2 entry, and so on.  The tests check M against inv(V)/2 and
+against the defining Fourier integral by quadrature.
 
 The congruence needs no inverse, so it also applies to the singular
 illustration moments below, whose exponent is degenerate (det M = 0).
-A normalizable form must pass the purity check 2 M V = 1; a mixed V is
-rejected rather than given the exponent of another state.
+A normalizable form must come from a pure V, det M = 16 det V = 1 (see
+gaussian.is_pure); a mixed V is not given the exponent of another state.
 
 Normalization: N = sqrt(det M) / pi^2 makes the integral of W equal 1.
 The constant 2/(pi hbar^2) that is conventional in front of the
@@ -30,13 +30,13 @@ raw_prefactor is used verbatim for display.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateForm, EmptyRange, InvalidPlane
-from .gaussian import CovarianceMatrix
+from .errors import DegenerateForm, EmptyRange, InvalidPlane, UnphysicalCovariance
+from .gaussian import CovarianceMatrix, is_pure, require_physical
+from .separability import json_text
 from .symplectic import I_SIGMA_Y
 
 AXIS_INDEX = {"x1": 0, "p1": 1, "x2": 2, "p2": 3}
@@ -130,23 +130,24 @@ def wigner_form(v: CovarianceMatrix | np.ndarray) -> WignerForm:
     """Exponent matrix M = 2 Omega^T V Omega of W from the covariance matrix.
 
     det M below 1e-12 (relative to the diagonal scale) marks the form
-    degenerate.  A normalizable form must come from a pure state,
-    |2 M V - 1| <= 1e-9 (Frobenius norm); otherwise M is not the
-    exponent of V and ValueError is raised.
+    degenerate.  A normalizable form needs a pure V: one that fails
+    is_pure raises ValueError (M is not its exponent), one that is not
+    finite or not physical UnphysicalCovariance.
     """
     mv = np.asarray(v)
+    if not np.isfinite(mv).all():
+        raise UnphysicalCovariance("V is not finite")
     m = 2.0 * (I_SIGMA_Y.T @ mv @ I_SIGMA_Y)
     det = float(np.linalg.det(m))
     dscale = float(np.prod(np.diag(m))) or 1.0
     raw = 2.0 / np.pi
     if det <= 1e-12 * abs(dscale):
         return WignerForm(m=m, norm=raw, raw_prefactor=raw, degenerate=True)
-    impurity = float(np.linalg.norm(2.0 * m @ mv - np.eye(4)))
-    if impurity > 1e-9:
+    if not is_pure(mv):
         raise ValueError(
-            f"covariance matrix is not that of a pure state: |2 M V - 1| = "
-            f"{impurity:.3e} > 1e-9"
+            f"covariance matrix is not that of a pure state: 16 det V = {det!r}"
         )
+    require_physical(mv)
     return WignerForm(
         m=m, norm=float(np.sqrt(det) / np.pi**2), raw_prefactor=raw, degenerate=False
     )
@@ -258,7 +259,7 @@ def save_grid(grid: WignerGrid, prefix: str, *, triples: bool = False) -> tuple:
     """
     texts = {
         f"{prefix}.csv": grid.csv_text(triples=triples),
-        f"{prefix}.json": json.dumps(grid.meta_obj(), indent=2) + "\n",
+        f"{prefix}.json": json_text(grid.meta_obj(), pretty=True),
     }
     for path, text in texts.items():
         with open(path, "w") as f:

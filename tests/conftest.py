@@ -73,3 +73,27 @@ def constraint_params(rng, n, **kw):
             break
     assert len(out) == n
     return out
+
+
+def wide_probe(seed, lo, hi, n=3000):
+    """The points past the spectral gates among n log-uniform draws, taken
+    as one array per seed: masses and frequencies in [lo, hi], theta and
+    eta in [1e-4, 1e2]."""
+    rng = np.random.default_rng(seed)
+    bounds = np.log([[lo] * 4 + [1e-4] * 2, [hi] * 4 + [1e2] * 2])
+    out = []
+    for row in np.exp(rng.uniform(*bounds, size=(n, 6))).tolist():
+        p = PhysicalParams(*row)
+        try:
+            spectral_data(to_commutative(p))
+        except DegenerateSpectrum:
+            continue
+        out.append(p)
+    return out
+
+
+def beam_splitter(angle):
+    """4x4 beam splitter on (x1, p1, x2, p2): symplectic and orthogonal,
+    so it maps a pure state to a pure state that mixes the two modes."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])

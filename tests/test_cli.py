@@ -122,18 +122,19 @@ def test_analyze_degenerate_points_exit_3(capsys, patch):
 EXTREME = ("1e-300", "1e-150", "1e150", "1e300")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow notes
 @pytest.mark.parametrize("w1", EXTREME)
 @pytest.mark.parametrize("m1", EXTREME)
 def test_extreme_finite_inputs_end_in_typed_errors(capsys, m1, w1):
     """Finite inputs whose closed forms overflow float64 are degenerate
     points: analyze exits 3 (it ended in ZeroDivisionError at 6 of these
     16 points) and the scan marks the row (it ended in LinAlgError at 12).
-    A scan row is degenerate exactly where analyze at its point exits 3."""
+    A scan row is degenerate exactly where analyze at its point exits 3.
+    numpy warns of no overflow: stderr is the one error line."""
     base = ["--m1", m1, "--m2", "1.5", "--w1", w1, "--w2", "2", "--eta", "0.4"]
     code, out, err = run(capsys, ["analyze", *base, "--theta", "0.3"])
     assert (code, out) == (3, "")
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     code, out, err = run(capsys, ["scan", *base, "--axis1", "theta=0:1:3"])
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -153,16 +154,19 @@ def test_extreme_finite_inputs_end_in_typed_errors(capsys, m1, w1):
         ("1e-30", "1e130", "1e20", "1e18", "0"),  # L22 overflows to inf
     ],
 )
-def test_ground_state_out_of_float64_range_exits_4(capsys, point):
+def test_ground_state_out_of_float64_range_exits_4(capsys, tmp_path, point):
     """Past the spectral gates the ground-state formulas can still under-
     or overflow float64 at such scales; the covariance is then not finite
-    and analyze and scan agree on exit 4 (the scan used to flag the first
-    point degenerate and end the second in LinAlgError)."""
+    and analyze, scan and wigner agree on exit 4 (the scan used to flag
+    the first point degenerate and end the second in LinAlgError; wigner
+    wrote files of NaN)."""
     flags = [f"--{k}={v}" for k, v in zip(("m1", "m2", "w1", "w2", "theta"), point)]
     axis = f"--axis1=theta={point[4]}:{point[4]}:1"
-    for argv in (["analyze", "--eta=0"], ["scan", "--eta=0", axis]):
+    wigner = ["wigner", "--eta=0", f"--out={tmp_path / 'w'}"]
+    for argv in (["analyze", "--eta=0"], ["scan", "--eta=0", axis], wigner):
         code, out, err = run(capsys, [*argv, *flags])
         assert (code, out, err) == (4, "", "error: V is not finite\n")
+    assert not any(tmp_path.iterdir())
 
 
 # a pure ground state whose covariance has |V|_F ~ 1.6e6: rounding puts
@@ -366,6 +370,23 @@ def test_wigner_marginal_of_wide_state(capsys, tmp_path):
     assert meta["w_max"] > 0.0
 
 
+def test_wigner_of_widely_scaled_pure_state(capsys, tmp_path):
+    """A ground state from the seed-1 wide probe that a purity residual
+    |2 M V - 1| = 1.3e-9 rejected with ValueError; 16 det V - 1 = 6e-14."""
+    prefix = str(tmp_path / "spread")
+    argv = [
+        "wigner", "--m1", "30.330325174436073", "--m2", "2090.24586085497",
+        "--w1", "22.700718990275778", "--w2", "101758.91261188213",
+        "--theta", "0.0002651173502461939", "--eta", "0.096301468560406",
+        "--out", prefix,
+    ]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (0, "")
+    meta = json.loads((tmp_path / "spread.json").read_text())
+    assert meta["degenerate"] is False
+    assert (tmp_path / "spread.csv").stat().st_size > 0
+
+
 def test_wigner_triples_layout(capsys, tmp_path):
     prefix = str(tmp_path / "t")
     code, out, err = run(
@@ -505,7 +526,7 @@ def test_szilard_squeezed_measurement(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["work"] > 0.0
-    assert obj["work_closed_form"] is None
+    assert obj["work_closed_form"] == pytest.approx(obj["work"], rel=1e-10, abs=0)
 
 
 # ---------------------------------------------------------------- process

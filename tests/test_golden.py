@@ -7,10 +7,14 @@ commit 645fad10d29fcf84be64ae9259d0826ce6318c4c, before the report JSON
 was built from its records.  The analyze stdout files were written at
 that commit too, and rewritten by the first commit after
 bcecb4d564435d9534e931d5ba7a27c0f5c181fb, which dropped the `inverse`
-residual: only that line and `max` changed.  Each case is regenerated here and compared
-byte for byte, so any change to a float's text, a separator or a blank
-line shows.  After a deliberate change of the output format, rewrite
-the files with `PYTHONPATH=src python tests/test_golden.py`.
+residual: only that line and `max` changed.  The szilard files were
+rewritten, and szilard_squeezed added, by the first commit after
+a5ef59636d8b7bf97d9626439d49da8b09f3d723, which took work_closed_form
+from -4 det C for every pure state: only that value changed.  Each case
+is regenerated here and compared byte for byte, so any change to a
+float's text, a separator or a blank line shows.  After a deliberate
+change of the output format, rewrite the files with
+`PYTHONPATH=src python tests/test_golden.py`.
 
 The CLI's --grid sets both axes, so the CLI grids are square (21 x 21);
 the 21 x 17 cases go through the same calls as `ncho wigner`
@@ -75,6 +79,7 @@ STDOUT_CASES = {
     "analyze_constraint_pretty": ["analyze", *CONSTRAINT, "--pretty"],
     "szilard_base": ["szilard", *BASE],
     "szilard_constraint": ["szilard", *CONSTRAINT],
+    "szilard_squeezed": ["szilard", *BASE, "--mu", "2", "--angle", "0.7"],
 }
 
 AXES_21_17 = ((-4.0, 4.0, 21), (-3.0, 3.0, 17))

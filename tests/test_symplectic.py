@@ -19,7 +19,7 @@ from ncho import (
 from ncho.params import CommutativeParams
 from ncho.symplectic import I_SIGMA_Y, LADDER_METRIC, SIGMA_Y
 
-from conftest import draw_params
+from conftest import draw_params, wide_probe
 
 
 def cp_of(*args, **kw):
@@ -313,21 +313,12 @@ def test_wider_probe_answers_every_gate_passing_point():
     the spectral gates, with every identity residual within 1e-9 and the
     Simon verdict equal to the PPT one.  A residual of Q Q^-1 = I, which
     carries the conditioning of Q, raised SingularQ at 95 of the 753."""
-    rng = np.random.default_rng(1)
-    lo = np.log([1e-8] * 4 + [1e-4] * 2)
-    hi = np.log([1e8] * 4 + [1e2] * 2)
-    answered = 0
-    for row in np.exp(rng.uniform(lo, hi, size=(3000, 6))).tolist():
-        p = PhysicalParams(*row)
-        try:
-            spectral_data(to_commutative(p))
-        except DegenerateSpectrum:
-            continue
-        answered += 1
+    points = wide_probe(1, 1e-8, 1e8)
+    for p in points:
         rep = analyze(p)
         assert rep.eigensystem.residuals["max"] <= 1e-9, p
         assert rep.separability.verdict == rep.separability.ppt_verdict, p
-    assert answered == 753
+    assert len(points) == 753
 
 
 def test_ground_energy_is_quarter_trace_of_sigma():

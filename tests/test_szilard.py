@@ -1,5 +1,6 @@
 """Measurement covariance, Gaussian conditioning, extractable work."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,7 +19,8 @@ from ncho import (
     to_commutative,
 )
 
-from conftest import constraint_params, draw_params
+from conftest import beam_splitter, constraint_params, draw_params
+from test_margin_oracle import oracle
 
 BASE = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.1, 0.4)
 
@@ -144,17 +146,55 @@ def test_closed_form_matches_log_det(rng):
         assert res.work_closed_form == pytest.approx(res.work, rel=1e-10, abs=1e-15)
 
 
-def test_closed_form_only_for_heterodyne():
-    res = extractable_work(base_cov(), MeasurementSpec(mu=2.0))
-    assert res.work_closed_form is None
-    assert res.work > 0.0
+def test_closed_form_at_every_measurement(rng):
+    for p in draw_params(rng, 30):
+        vm = covariance(ground_state(to_commutative(p)))
+        spec = MeasurementSpec(mu=rng.uniform(0.2, 5), angle=rng.uniform(-3, 3))
+        res = extractable_work(vm, spec)
+        assert res.work_closed_form == pytest.approx(res.work, rel=1e-10, abs=1e-15)
 
 
-def test_closed_form_only_for_family_covariance():
+def test_closed_form_only_for_pure_covariance():
+    """A dense pure state (a beam splitter mixes the modes) gets the
+    closed form; a mixed one does not."""
+    vm = beam_splitter(0.3) @ base_cov().matrix @ beam_splitter(0.3).T
+    res = extractable_work(vm, MeasurementSpec(mu=2.0, angle=0.7))
+    assert res.work_closed_form == pytest.approx(res.work, rel=1e-10, abs=0)
     vm = 1.5 * base_cov().matrix
     vm[0, 1] = vm[1, 0] = 0.05
     res = extractable_work(vm, MeasurementSpec())
     assert res.work_closed_form is None
+
+
+def heterodyne_work(gs):
+    """W at mu = 1 and kB T = 1 from the exponent coefficients of the ground state:
+
+        W = -(1/2) ln[ (1 - y^2/(d + 2 L11)) (1 - y^2/(d (1 + 2 L22))) ]
+
+    At mu = 1, V2 + gamma = diag(1/(4 L22) + 1/2, d/(4 L11) + 1/2), and C
+    holds only <x1 p2> and <p1 x2>, so V1' is diagonal and
+    det V1 / det V1' is the inverse of the product of the brackets."""
+    l11, l22, y, d = gs.lambda11, gs.lambda22, gs.lambda12_im, gs.d
+    return -0.5 * np.log(
+        (1.0 - y * y / (d + 2.0 * l11)) * (1.0 - y * y / (d * (1.0 + 2.0 * l22)))
+    )
+
+
+def test_heterodyne_work_matches_exponent_coefficient_form(rng):
+    for p in draw_params(rng, 100, theta=(0.0, 0.8), eta=(0.0, 0.8)):
+        gs = ground_state(to_commutative(p))
+        res = extractable_work(covariance(gs), MeasurementSpec())
+        assert res.work == pytest.approx(heterodyne_work(gs), rel=1e-10, abs=1e-15)
+
+
+def test_closed_form_at_reference_point_matches_60_digit_oracle():
+    """s = -4 margin of the mpmath pipeline: the closed form is within a
+    few u of (1/2) log1p(s), the log-det work only within 2e-12 relative."""
+    margin, *_ = oracle(BASE)
+    with mp.workdps(60):
+        want = float(mp.log1p(-4 * margin) / 2)
+    res = extractable_work(base_cov(), MeasurementSpec())
+    assert res.work_closed_form == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_conditioned_mode_is_pure_whatever_the_measurement(rng):

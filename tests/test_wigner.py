@@ -14,9 +14,12 @@ from ncho import (
     DegenerateForm,
     EmptyRange,
     InvalidPlane,
+    MeasurementSpec,
     PhysicalParams,
+    UnphysicalCovariance,
     WignerGrid,
     covariance,
+    extractable_work,
     ground_state,
     illustration_covariance,
     marginal_position,
@@ -28,7 +31,7 @@ from ncho import (
 )
 from ncho.wigner import evaluate
 
-from conftest import draw_params
+from conftest import beam_splitter, draw_params, wide_probe
 
 BASE = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.1, 0.4)
 
@@ -136,12 +139,43 @@ def test_wigner_form_rejects_thermal_state():
         wigner_form(np.eye(4))
 
 
+def test_wigner_form_rejects_unphysical_covariance_of_purity_determinant():
+    """16 det V = 1, but V - Sigma_y/2 is not positive: no state has it."""
+    with pytest.raises(UnphysicalCovariance):
+        wigner_form(np.diag([1.0, 1.0, 0.25, 0.25]))
+
+
+def test_wigner_form_rejects_covariance_that_is_not_finite():
+    vm = covariance(ground_state(to_commutative(BASE))).matrix.copy()
+    vm[0, 0] = np.inf
+    with pytest.raises(UnphysicalCovariance):
+        wigner_form(vm)
+
+
+def test_wide_probe_gets_a_form_and_the_work_closed_form():
+    """Seed-1 probe of tests/test_symplectic.py (masses and frequencies
+    log-uniform in [1e-8, 1e8]): every ground state past the spectral
+    gates gets a normalizable WignerForm (a purity test |2 M V - 1| <= 1e-9,
+    which grows with the spread of V's scales, rejected 2 of the 753) and
+    a Szilard closed form that matches the log-det work at three
+    measurements.  The log-det route rounds to about 6 u absolute at a
+    rotated ellipse, hence 2e-15 (the closed form is within 0.6 u of a
+    50-digit value on this probe)."""
+    specs = [MeasurementSpec(mu, angle) for mu, angle in ((1, 0), (0.3, 1.1), (5, -2))]
+    for p in wide_probe(1, 1e-8, 1e8):
+        vm = covariance(ground_state(to_commutative(p)))
+        assert not wigner_form(vm).degenerate, p
+        for spec in specs:
+            res = extractable_work(vm, spec)
+            want = pytest.approx(res.work, rel=1e-9, abs=2e-15)
+            assert res.work_closed_form == want, (p, spec)
+
+
 def test_wigner_form_accepts_dense_pure_state():
     """A beam splitter (symplectic and orthogonal) mixes the two modes of
     a ground state: the result is pure with every entry of V nonzero, and
     its exponent is inv(V)/2."""
-    c, s = np.cos(0.3), np.sin(0.3)
-    bs = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
+    bs = beam_splitter(0.3)
     vm = bs @ covariance(ground_state(to_commutative(BASE))).matrix @ bs.T
     assert np.all(np.abs(vm) > 1e-6)
     wf = wigner_form(vm)
