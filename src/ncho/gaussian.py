@@ -65,6 +65,7 @@ class CovarianceMatrix:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
+@np.errstate(all="ignore")  # a product that leaves float64 gives 0 or inf
 def exponent_coefficients(cp: CommutativeParams, lambda1, lambda2) -> tuple:
     """(lambda11, lambda22, y, d, denom) by the formulas of ground_state.
     Elementwise."""
@@ -139,12 +140,14 @@ def psi0(gs: GroundState, x1, x2) -> np.ndarray:
     )
 
 
+@np.errstate(all="ignore")
 def covariance_matrix(l11, l22, y, d) -> np.ndarray:
     """The 4x4 covariance of covariance(), stacked over leading axes when
     the coefficients are arrays.
 
     A coefficient that under- or overflowed float64 gives a moment that
-    is not finite (never ZeroDivisionError); require_physical rejects it.
+    is not finite (never ZeroDivisionError or a warning); require_physical
+    rejects it.
     """
     l11, l22 = np.float64(l11), np.float64(l22)
     v = np.zeros(np.shape(l11) + (4, 4))
@@ -187,6 +190,10 @@ def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):
     return np.linalg.eigvalsh(m - 0.5 * SIGMA_Y).T[0]
 
 
+# (m.dtype.char, m.tobytes(), tol) and rs_min of the last single V that passed
+_last_passed = (None, None)
+
+
 def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
     """Raise UnphysicalCovariance unless V satisfies Robertson-Schroedinger.
 
@@ -195,8 +202,18 @@ def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
     a stack of matrices each one is held to its own bound; the error
     reports the worst eigenvalue relative to |V|_F.  Returns
     rs_min_eigenvalue(V), so a caller that reports it computes it once.
+
+    Results are memoized for a single 4x4 V, one entry keyed by its bytes
+    and tol: checking the V just checked (analyze, then extractable_work)
+    runs no second eigvalsh, while a V edited in place is checked again.
+    Stacks are always checked.
     """
+    global _last_passed
     m = np.asarray(v)
+    key = (m.dtype.char, m.tobytes(), tol) if m.shape == (4, 4) else None
+    last_key, last_rs_min = _last_passed  # one read: the pair stays matched
+    if key is not None and key == last_key:
+        return last_rs_min
     try:
         rs_min = rs_min_eigenvalue(m)
     except np.linalg.LinAlgError:
@@ -207,6 +224,8 @@ def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
         raise UnphysicalCovariance(
             f"V - Sigma_y/2 has eigenvalue {rel.min():.6e} |V|_F < -{tol:.1e} |V|_F"
         )
+    if key is not None:
+        _last_passed = (key, rs_min)
     return rs_min
 
 

@@ -84,18 +84,6 @@ def _inside(field: str, v):
     return low & (v < np.inf)
 
 
-def _out_of_domain(p: PhysicalParams):
-    """Mask of the points of p that validate rejects.
-
-    Elementwise when fields of p are arrays (a batched scan); scalar
-    fields broadcast against them.
-    """
-    ok = True
-    for field in _POSITIVE + _DEFORMATIONS:
-        ok = ok & _inside(field, getattr(p, field))
-    return ~np.asarray(ok)
-
-
 def validate(p: PhysicalParams) -> PhysicalParams:
     """Check positivity constraints, returning p unchanged if they hold.
 
@@ -107,7 +95,13 @@ def validate(p: PhysicalParams) -> PhysicalParams:
     the one the first invalid point in C (row-major) order would raise,
     with the array value reported as a float.
     """
-    bad = _out_of_domain(p)
+    ok = True
+    for field in _POSITIVE + _DEFORMATIONS:
+        ok = ok & _inside(field, getattr(p, field))
+    # Python floats give a plain bool; arrays (or numpy scalars) a mask
+    if ok is True:
+        return p
+    bad = ~np.asarray(ok)
     if not bad.any():
         return p
     i = int(np.argmax(bad))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from . import __version__
@@ -63,7 +62,7 @@ class AnalysisReport:
             "spectral": {**vars(sd), "b_cross_coefficient": cross},
             "residuals": dict(self.eigensystem.residuals),
             "ground_state": dict(vars(self.ground)),
-            "covariance": [[float(x) for x in row] for row in self.cov.matrix],
+            "covariance": self.cov.matrix.tolist(),
             "rs_min_eigenvalue": self.rs_min,
             "variance_products": list(self.variance),
             "separability": dict(vars(self.separability)),
@@ -93,8 +92,7 @@ def analyze(
     gs = ground_state(cp, sd)
     cov = covariance(gs)
     rs_min = require_physical(cov)
-    rep = _simon_report(cov.matrix, eps_sep, ppt=True)
-    rep = dataclasses.replace(rep, reason=_reason(p, eps_c))
+    rep = _simon_report(cov.matrix, eps_sep, ppt=True, reason=_reason(p, eps_c))
     return AnalysisReport(
         params=p,
         hbar_e=effective_planck(p),

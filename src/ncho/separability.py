@@ -163,6 +163,9 @@ def on_boundary(margin, rhs, eps_sep: float):
     return abs(margin) <= eps_sep * rhs
 
 
+_FLIP_P2 = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transposition: p2 -> -p2
+
+
 def ppt_oracle(v: CovarianceMatrix | np.ndarray) -> float:
     """Smallest symplectic eigenvalue after partial transposition.
 
@@ -172,8 +175,7 @@ def ppt_oracle(v: CovarianceMatrix | np.ndarray) -> float:
     witness is conclusive.
     """
     m = np.asarray(v)
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    vt = flip @ m @ flip
+    vt = _FLIP_P2 @ m @ _FLIP_P2
     return float(np.min(np.abs(np.linalg.eigvals(I_SIGMA_Y @ vt))))
 
 
@@ -199,8 +201,10 @@ def simon_report(
     return _simon_report(m, eps_sep, ppt)
 
 
-def _simon_report(m: np.ndarray, eps_sep: float, ppt: bool) -> SeparabilityReport:
-    """simon_report on a 4x4 array that already passed require_physical."""
+def _simon_report(
+    m: np.ndarray, eps_sep: float, ppt: bool, reason: str | None = None
+) -> SeparabilityReport:
+    """simon_report, tagged with reason, on a 4x4 V that passed require_physical."""
     det1, det2, det12, trace_term = simon_terms(m)
     lhs, rhs, margin = simon_margin(det1, det2, det12, trace_term)
     ppt_min = ppt_verdict = None
@@ -223,6 +227,7 @@ def _simon_report(m: np.ndarray, eps_sep: float, ppt: bool) -> SeparabilityRepor
         boundary=bool(on_boundary(margin, rhs, eps_sep)),
         ppt_min=ppt_min,
         ppt_verdict=ppt_verdict,
+        reason=reason,
     )
 
 

@@ -146,7 +146,7 @@ def test_extreme_finite_inputs_end_in_typed_errors(capsys, m1, w1):
         assert (exit_code == 3) == (degenerate == "true")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "point",
     [
@@ -157,13 +157,14 @@ def test_extreme_finite_inputs_end_in_typed_errors(capsys, m1, w1):
 def test_ground_state_out_of_float64_range_exits_4(capsys, tmp_path, point):
     """Past the spectral gates the ground-state formulas can still under-
     or overflow float64 at such scales; the covariance is then not finite
-    and analyze, scan and wigner agree on exit 4 (the scan used to flag
-    the first point degenerate and end the second in LinAlgError; wigner
-    wrote files of NaN)."""
+    and analyze, szilard, scan and wigner agree on exit 4, with no numpy
+    warning (the scan used to flag the first point degenerate and end the
+    second in LinAlgError; wigner wrote files of NaN)."""
     flags = [f"--{k}={v}" for k, v in zip(("m1", "m2", "w1", "w2", "theta"), point)]
     axis = f"--axis1=theta={point[4]}:{point[4]}:1"
     wigner = ["wigner", "--eta=0", f"--out={tmp_path / 'w'}"]
-    for argv in (["analyze", "--eta=0"], ["scan", "--eta=0", axis], wigner):
+    commands = (["analyze", "--eta=0"], ["szilard", "--eta=0"], ["scan", "--eta=0", axis], wigner)
+    for argv in commands:
         code, out, err = run(capsys, [*argv, *flags])
         assert (code, out, err) == (4, "", "error: V is not finite\n")
     assert not any(tmp_path.iterdir())

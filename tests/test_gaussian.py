@@ -9,10 +9,13 @@ from scipy.optimize import brentq
 
 from ncho import (
     DegenerateSpectrum,
+    MeasurementSpec,
     PhysicalParams,
     UnphysicalCovariance,
+    analyze,
     covariance,
     energy,
+    extractable_work,
     ground_state,
     psi0,
     require_physical,
@@ -21,6 +24,7 @@ from ncho import (
     to_commutative,
     variance_products,
 )
+from ncho import gaussian
 from ncho.gaussian import exponent_coefficients
 from ncho.params import CommutativeParams
 from ncho.symplectic import (
@@ -254,6 +258,42 @@ def test_physicality_bound_is_relative_to_the_size_of_v():
     with pytest.raises(UnphysicalCovariance):
         require_physical(np.stack([np.eye(4), vm, bad]))
     require_physical(np.stack([np.eye(4), vm]))
+
+
+@pytest.fixture
+def rs_calls(monkeypatch):
+    """Calls of gaussian.rs_min_eigenvalue, counted from an empty memo."""
+    calls = []
+    orig = gaussian.rs_min_eigenvalue
+    monkeypatch.setattr(gaussian, "_last_passed", (None, None))
+    monkeypatch.setattr(
+        gaussian, "rs_min_eigenvalue", lambda v: calls.append(1) or orig(v)
+    )
+    return calls
+
+
+def test_analyze_then_szilard_checks_v_once(rs_calls):
+    """extractable_work on the covariance analyze just checked reuses the
+    memoized rs_min; once V is edited in place it is checked again."""
+    rep = analyze(PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.4))
+    res = extractable_work(rep.cov, MeasurementSpec())
+    assert len(rs_calls) == 1
+    assert res.work > 0.0
+    rep.cov.matrix[:] *= 0.5  # half a pure V breaks the uncertainty relation
+    with pytest.raises(UnphysicalCovariance):
+        extractable_work(rep.cov, MeasurementSpec())
+    assert len(rs_calls) == 2
+
+
+def test_stacks_bypass_the_memo(rs_calls):
+    vm = covariance(ground_state(to_commutative(PhysicalParams(1, 1.5, 1, 2, 0.3, 0.4)))).matrix
+    rs_min = require_physical(vm)
+    assert require_physical(vm) == rs_min
+    assert require_physical(vm, tol=1e-9) == rs_min
+    assert len(rs_calls) == 2  # a new tol is a new key
+    for _ in range(2):
+        assert require_physical(vm[None]) == [rs_min]
+    assert len(rs_calls) == 4
 
 
 def log_uniform(lo_exp, hi_exp):

@@ -10,7 +10,10 @@ bcecb4d564435d9534e931d5ba7a27c0f5c181fb, which dropped the `inverse`
 residual: only that line and `max` changed.  The szilard files were
 rewritten, and szilard_squeezed added, by the first commit after
 a5ef59636d8b7bf97d9626439d49da8b09f3d723, which took work_closed_form
-from -4 det C for every pure state: only that value changed.  Each case
+from -4 det C for every pure state: only that value changed.  They were
+rewritten again by the first commit after
+4f4bc762ba646a3e645e65ec7cbe23631130f490, which runs the Szilard Schur
+step on floats: only the last digits of det_after changed.  Each case
 is regenerated here and compared byte for byte, so any change to a
 float's text, a separator or a blank line shows.  After a deliberate
 change of the output format, rewrite the files with

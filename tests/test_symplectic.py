@@ -7,6 +7,7 @@ import sympy as sp
 from ncho import (
     DegenerateSpectrum,
     PhysicalParams,
+    SingularQ,
     analyze,
     assemble_eigensystem,
     build_hamiltonian,
@@ -16,6 +17,7 @@ from ncho import (
     spectral_data,
     to_commutative,
 )
+from ncho import symplectic
 from ncho.params import CommutativeParams
 from ncho.symplectic import I_SIGMA_Y, LADDER_METRIC, SIGMA_Y
 
@@ -269,6 +271,17 @@ def test_eigensystem_identity_matrices_explicitly():
     assert np.array_equal(es.q_inv[1], es.u1.conj())
     # columns of q are v_i = -Sigma_y u_i^dagger
     assert np.allclose(es.q[:, 0], -SIGMA_Y @ es.u1.conj())
+
+
+def test_nan_residual_raises_singular_q(monkeypatch):
+    """A NaN in u2 leaves eigvec_1 finite and every later residual NaN;
+    the check must still fail (Python's max would keep the finite one)."""
+    p = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.4)
+    rows = symplectic._mode_rows(p)
+    rows[1, 0] = np.nan
+    monkeypatch.setattr(symplectic, "_mode_rows", lambda p: rows)
+    with pytest.raises(SingularQ, match="nan"):
+        assemble_eigensystem(p, to_commutative(p))
 
 
 def test_decoupled_modes_split(rng):

@@ -19,7 +19,7 @@ from ncho import (
     to_commutative,
 )
 
-from conftest import beam_splitter, constraint_params, draw_params
+from conftest import beam_splitter, constraint_params, draw_params, wide_probe
 from test_margin_oracle import oracle
 
 BASE = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.1, 0.4)
@@ -86,6 +86,68 @@ def test_conditioning_single_mode_by_monte_carlo(rng):
     resid = z[:, :2] - outcome @ coeff
     got = resid.T @ resid / n
     assert np.allclose(got, want, atol=6e-3 * np.max(np.abs(want)))
+
+
+def numpy_szilard(vm, spec):
+    """Oracle of the float kernel for a V or a stack of them: gamma by
+    rotation matrices, V1' by np.linalg.solve and each determinant by
+    np.linalg.det.  Returns (V1', det V1, det V1', work)."""
+    c, s = np.cos(spec.angle), np.sin(spec.angle)
+    r = np.array([[c, -s], [s, c]])
+    gamma = r @ np.diag([0.5 * spec.mu, 0.5 / spec.mu]) @ r.T
+    a, b, cc = vm[..., :2, :2], vm[..., 2:, 2:], vm[..., :2, 2:]
+    cond = a - cc @ np.linalg.solve(b + gamma, np.swapaxes(cc, -1, -2))
+    det_before, det_after = np.linalg.det(a), np.linalg.det(cond)
+    return cond, det_before, det_after, 0.5 * spec.kbt * np.log(det_before / det_after)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-6, 1e6), (1e-8, 1e8)])
+def test_float_kernel_matches_numpy_route_on_wide_probe(lo, hi):
+    """The float Schur step against numpy_szilard on the seed-1 wide probes.
+
+    V1' and det V1' come out of a cancellation that magnifies rounding by
+    det V1 / det V1' = 1 + s (up to ~5e3 here), so both routes carry
+    errors of a few u (1 + s): against the exact det V1' = 1/4 of a pure
+    state the float route is within 2.6 u (1 + s), numpy's within 15.  The
+    gap is held to 32 u (1 + s), 1.6e-12 relative at most on these draws.
+    """
+    vms = np.array([covariance(ground_state(to_commutative(p))).matrix for p in wide_probe(1, lo, hi)])
+    for mu in (0.3, 1.0, 5.0):
+        for angle in (0.0, 0.7, 2.0):
+            spec = MeasurementSpec(mu=mu, angle=angle)
+            gamma = measurement_covariance(spec)
+            oracle_route = zip(vms, *numpy_szilard(vms, spec))
+            for vm, cond, det_before, det_after, work in oracle_route:
+                res = extractable_work(vm, spec)
+                tol = 32 * 2.0**-52 * res.det_before / 0.25  # 32 u (1 + s)
+                got = conditional_covariance(vm, gamma)
+                assert np.abs(got - cond).max() <= tol * np.abs(cond).max()
+                assert abs(res.det_before - det_before) <= 1e-12 * det_before
+                assert abs(res.det_after - det_after) <= tol * det_after
+                assert abs(res.det_after - 0.25) <= tol / 8 * 0.25
+                assert abs(res.work - work) <= 1e-9 * abs(work) + 1e-15
+
+
+def test_float_kernel_keeps_numpy_accuracy_on_dense_wide_states():
+    """A beam splitter mixes the modes of the 1e-8..1e8 probe, whose
+    scales lie far apart, so det V1' = 1/4 comes out of a far larger
+    cancellation than on the ground states.  The float route's relative
+    error there stays within 3 times numpy_szilard's, at the 99th
+    percentile and at the worst draw (an adjugate solve was ~20 times
+    worse on both)."""
+    bs = beam_splitter(0.3)
+    vms = np.array(
+        [bs @ covariance(ground_state(to_commutative(p))).matrix @ bs.T for p in wide_probe(1, 1e-8, 1e8)]
+    )
+    got, want = [], []
+    for mu in (0.3, 1.0, 5.0):
+        for angle in (0.0, 0.7, 2.0):
+            spec = MeasurementSpec(mu=mu, angle=angle)
+            got += [extractable_work(vm, spec).det_after for vm in vms]
+            want += list(numpy_szilard(vms, spec)[2])
+    err_got, err_want = np.abs(np.array([got, want]) - 0.25) / 0.25
+    for q in (0.99, 1.0):
+        assert np.quantile(err_got, q) <= 3.0 * np.quantile(err_want, q)
 
 
 def test_conditioning_no_correlation_is_identity_operation():
