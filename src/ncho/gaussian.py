@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .params import CommutativeParams
-from .symplectic import SIGMA_Y, SpectralData, spectral_data
+from .symplectic import SIGMA_Y, SpectralData, _frobenius, spectral_data
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,8 @@ def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
         rs_min = rs_min_eigenvalue(m)
     except np.linalg.LinAlgError:
         raise UnphysicalCovariance("V is not finite") from None
-    rel = rs_min / np.linalg.norm(m, axis=(-2, -1))
+    norm = np.linalg.norm(m, axis=(-2, -1)) if key is None else _frobenius(m)
+    rel = rs_min / norm
     # a V that is not finite gives NaN here, which fails the comparison
     if not (rel >= -tol).all():
         raise UnphysicalCovariance(

@@ -132,11 +132,6 @@ def bopp_matrix(p: PhysicalParams) -> np.ndarray:
     which is the content of test_params.test_bopp_commutators.
     """
     validate(p)
-    return _bopp_matrix(p)
-
-
-def _bopp_matrix(p: PhysicalParams) -> np.ndarray:
-    """bopp_matrix without the validation, for callers that validated p."""
     a = p.theta / 2.0
     b = p.eta / 2.0
     return np.array(

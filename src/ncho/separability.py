@@ -34,6 +34,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .gaussian import (
 )
 from .params import PhysicalParams, to_commutative, validate
 from .symplectic import (
-    I_SIGMA_Y,
+    _SWAP,
     biquadratic,
     mode_collision,
     spectral_data,
@@ -58,6 +59,7 @@ from .symplectic import (
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
+_COMPACT = json.JSONEncoder(separators=(",", ":"))  # json.dumps makes one per call
 
 # scan axes and JSON inputs use the CLI spellings; w1/w2 address the
 # physical frequencies
@@ -80,7 +82,7 @@ def json_text(obj, *, pretty: bool = False) -> str:
     """obj as compact one-line JSON, or indented with pretty; ends in \\n."""
     if pretty:
         return json.dumps(obj, indent=2) + "\n"
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return _COMPACT.encode(obj) + "\n"
 
 
 @dataclass(frozen=True)
@@ -123,14 +125,14 @@ def _mul2(x, y) -> tuple:
 def simon_terms(m: np.ndarray) -> tuple:
     """(det A, det B, det C, tr(A J C J B J C^T J)) of V = [[A, C], [C^T, B]].
 
-    m is one 4x4 matrix or a stack with leading axes.  Everything is
-    plain elementwise arithmetic on the sixteen entries, so a stacked
-    evaluation matches the single-matrix one bit for bit.
+    m is one 4x4 matrix (read as Python floats) or a stack with leading
+    axes.  Everything is plain elementwise arithmetic on the sixteen
+    entries, so a stack matches the single-matrix evaluation bit for bit.
     """
-    e = m.T  # e[j, i] is V_ij, over any leading axes of m
-    a = (e[0, 0], e[1, 0], e[0, 1], e[1, 1])
-    b = (e[2, 2], e[3, 2], e[2, 3], e[3, 3])
-    c00, c01, c10, c11 = e[2, 0], e[3, 0], e[2, 1], e[3, 1]
+    e = m.T.tolist() if m.ndim == 2 else m.T  # e[j][i] is V_ij
+    a = (e[0][0], e[1][0], e[0][1], e[1][1])
+    b = (e[2][2], e[3][2], e[2][3], e[3][3])
+    c00, c01, c10, c11 = e[2][0], e[3][0], e[2][1], e[3][1]
     # J C J and J C^T J, with J = [[0, 1], [-1, 0]]: sign flips only
     jcj = (-c11, c10, c01, -c00)
     jctj = (-c11, c01, c10, -c00)
@@ -163,7 +165,8 @@ def on_boundary(margin, rhs, eps_sep: float):
     return abs(margin) <= eps_sep * rhs
 
 
-_FLIP_P2 = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transposition: p2 -> -p2
+# I_SIGMA_Y F V F, F = diag(1, 1, 1, -1), is V[_SWAP] * _PPT_SIGNS + 0.0 bit for bit
+_PPT_SIGNS = np.outer([1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
 def ppt_oracle(v: CovarianceMatrix | np.ndarray) -> float:
@@ -172,11 +175,12 @@ def ppt_oracle(v: CovarianceMatrix | np.ndarray) -> float:
     Partial transposition of mode 2 flips the sign of p2.  The symplectic
     spectrum is read off the eigenvalues of (J2 + J2) Vt; values below
     1/2 witness entanglement, and for two-mode Gaussian states the
-    witness is conclusive.
+    witness is conclusive.  Both sign flips and the row swap of I_SIGMA_Y
+    are exact, so they are applied as one signed row swap; adding 0.0
+    gives its zeros the + sign that matrix products give them.
     """
     m = np.asarray(v)
-    vt = _FLIP_P2 @ m @ _FLIP_P2
-    return float(np.min(np.abs(np.linalg.eigvals(I_SIGMA_Y @ vt))))
+    return float(np.min(np.abs(np.linalg.eigvals(m[_SWAP] * _PPT_SIGNS + 0.0))))
 
 
 def simon_report(
@@ -211,7 +215,7 @@ def _simon_report(
     if ppt:
         ppt_min = ppt_oracle(m)
         ppt_verdict = (
-            SEPARABLE if 0.5 - ppt_min <= np.sqrt(eps_sep * rhs) else ENTANGLED
+            SEPARABLE if 0.5 - ppt_min <= math.sqrt(eps_sep * rhs) else ENTANGLED
         )
     return SeparabilityReport(
         det1=float(det1),
@@ -259,10 +263,9 @@ def classify(
     """
     validate(p)
     cp = to_commutative(p)
-    sd = spectral_data(cp)
-    gs = ground_state(cp, sd)
-    rep = simon_report(covariance(gs), eps_sep=eps_sep, ppt=ppt)
-    return dataclasses.replace(rep, reason=_reason(p, eps_c))
+    m = covariance(ground_state(cp, spectral_data(cp))).matrix
+    require_physical(m)
+    return _simon_report(m, eps_sep, ppt, _reason(p, eps_c))
 
 
 @dataclass(frozen=True)
@@ -284,8 +287,7 @@ class AxisSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One grid point: axis values, margin and verdict.
 
     Points where the spectrum degenerates carry degenerate=True, an
@@ -382,7 +384,7 @@ class ScanResult:
         return "\n".join(itertools.chain([header], lines)) + "\n"
 
     def json_obj(self) -> dict:
-        keys = [f.name for f in dataclasses.fields(ScanRow)]
+        keys = ScanRow._fields
         return {
             "base": dataclasses.asdict(self.base),
             "axes": [dataclasses.asdict(ax) for ax in self.axes],
@@ -405,7 +407,7 @@ class ScanRows(Sequence):
         return len(self._result.margin)
 
     def __iter__(self):
-        return itertools.starmap(ScanRow, self._result._row_values())
+        return map(ScanRow._make, self._result._row_values())
 
     def __getitem__(self, k):
         if isinstance(k, slice):

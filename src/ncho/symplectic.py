@@ -42,11 +42,13 @@ form of a) symplectic one and the modes are genuine bosonic modes.
 Both identities and the eigenvector relations are checked at assembly
 time against Omega, built from the commutative side, and stored as
 relative Frobenius residuals; SingularQ is raised when the largest one
-exceeds the tolerance.  Q is built from Q^-1 by Q = -Sigma_y (Q^-1)^dagger
-Sigma_z, so Q^-1 Q - I = (L - Sigma_z) Sigma_z with L the left side of the
-ladder identity: the ladder residual is also that of Q^-1 Q = I, and
+exceeds the tolerance.  Q = -Sigma_y (Q^-1)^dagger Sigma_z is built as
+the exact signed permutation of (Q^-1)^dagger that it is, so
+Q^-1 Q - I = (L - Sigma_z) Sigma_z with L the left side of the ladder
+identity: the ladder residual is |Q^-1 Q - I|_F / 2, and
 Q Q^-1 - I = Q (Q^-1 Q - I) Q^-1 would only magnify it by up to the
-condition number of Q.
+condition number of Q.  The other residuals share W = Q^-1 Omega (rows
+0 and 2 are u1 Omega, u2 Omega); |Omega_D|_F = sqrt(2 (l1^2 + l2^2)).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, EigenvectorResidualTooLarge, SingularQ
-from .params import CommutativeParams, PhysicalParams, _bopp_matrix
+from .params import CommutativeParams, PhysicalParams
 
 # Pauli y and its two-mode block version, ordering (x1,p1,x2,p2)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -258,23 +260,10 @@ def spectral_data(cp: CommutativeParams) -> SpectralData:
     )
 
 
-def _antisymmetric(a01, a02, a13, a23) -> np.ndarray:
-    """Real antisymmetric 4x4 with these upper entries and A03 = A12 = 0."""
-    return np.array(
-        [
-            [0.0, a01, a02, 0.0],
-            [-a01, 0.0, 0.0, a13],
-            [-a02, 0.0, 0.0, a23],
-            [0.0, -a13, -a23, 0.0],
-        ]
-    )
-
-
-_EYE = np.eye(4)
-# Omega_D = Sigma * _MODE_PHASES: the phases of -i l1, +i l1, -i l2, +i l2
-_MODE_PHASES = np.diag([-1.0j, 1.0j, -1.0j, 1.0j])
-# s per mode in the projector product (1 - i A+)(1 - i s A-)
-_SIGNS = np.array([1.0, -1.0])[:, None, None]
+_EYE = np.eye(4, dtype=complex)
+# -Sigma_y M Sigma_z = _Q_SIGNS * M[_SWAP]: i Sigma_y is a signed row swap
+_SWAP = [1, 0, 3, 2]
+_Q_SIGNS = 1.0j * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
 
 
 def _mode_rows(p: PhysicalParams) -> np.ndarray:
@@ -282,25 +271,35 @@ def _mode_rows(p: PhysicalParams) -> np.ndarray:
 
     A has four nonzero upper entries, so its Hodge dual swaps A01 with
     A23 and A02 with -A13; A+- are scaled to A+-^2 = -1 by the norm of
-    their first row.  u = v^T D^1/2 T, v the largest-diagonal column.
+    their first rows (p1, p2), (q1, q2).  v is the largest-diagonal column
+    of the Hermitian (1 - i A+)(1 - i s A-), u = v^T D^1/2 T, on floats.
     """
     hbar_e = 1.0 + p.theta * p.eta / 4.0
     rm = math.sqrt(p.m1 * p.m2)
     a01, a23 = p.wt1 * hbar_e, p.wt2 * hbar_e
     a02, a13 = rm * p.wt1 * p.wt2 * p.theta, p.eta / rm
     s01, s02, d01, d02 = a01 + a23, a02 - a13, a01 - a23, a02 + a13
-    a_plus = _antisymmetric(s01, s02, -s02, s01) / math.hypot(s01, s02)
-    a_minus = _antisymmetric(d01, d02, d02, -d01) / math.hypot(d01, d02)
-    # (1 - i A+)(1 - i s A-) = 1 - s A+ A- - i (A+ + s A-), diagonal 1 - s (A+ A-)_jj
-    prod = a_plus @ a_minus
-    proj = _EYE - _SIGNS * prod - 1.0j * (a_plus + _SIGNS * a_minus)
-    diag = prod.diagonal().tolist()
-    j1, j2 = diag.index(min(diag)), diag.index(max(diag))
-    d_half = np.sqrt([p.m1, 1.0 / p.m1, p.m2, 1.0 / p.m2]) * [p.wt1, 1.0, p.wt2, 1.0]
-    v = np.array([proj[0, :, j1], proj[1, :, j2]])
-    u = v @ (d_half[:, None] * _bopp_matrix(p))
-    phase = []
-    for row in u.tolist():
+    n_plus, n_minus = math.hypot(s01, s02), math.hypot(d01, d02)
+    p1, p2, q1, q2 = s01 / n_plus, s02 / n_plus, d01 / n_minus, d02 / n_minus
+    # A+ A- = [[-al, 0, 0, ga], [0, -be, -de, 0], [0, -de, be, 0], [ga, 0, 0, al]]
+    al, be = p1 * q1 + p2 * q2, p1 * q1 - p2 * q2
+    ga, de = p1 * q2 - p2 * q1, p1 * q2 + p2 * q1
+    diag = [-al, -be, be, al]
+    r1, r2 = math.sqrt(p.m1), math.sqrt(p.m2)
+    d_half = (r1 * p.wt1, 1.0 / r1, r2 * p.wt2, 1.0 / r2)
+    a, b = p.theta / 2.0, p.eta / 2.0  # the Bopp matrix T
+    rows = []
+    for s, j in ((1.0, diag.index(min(diag))), (-1.0, diag.index(max(diag)))):
+        # A+ + s A- has upper entries k01, k02, k13, k23
+        k01, k02, k13, k23 = p1 + s * q1, p2 + s * q2, s * q2 - p2, p1 - s * q1
+        column = (
+            (1.0 + s * al, 1j * k01, 1j * k02, -s * ga),
+            (-1j * k01, 1.0 + s * be, s * de, 1j * k13),
+            (-1j * k02, s * de, 1.0 - s * be, 1j * k23),
+            (-s * ga, -1j * k13, -1j * k23, 1.0 - s * al),
+        )[j]
+        w0, w1, w2, w3 = (c * d for c, d in zip(column, d_half))
+        row = [w0 - b * w3, w1 + a * w2, b * w1 + w2, w3 - a * w0]
         # u (-Sigma_y) u^dagger = -2 Im(u0 u1* + u2 u3*)
         norm = -2.0 * (row[0] * row[1].conjugate() + row[2] * row[3].conjugate()).imag
         if not 0.0 < norm < math.inf:
@@ -309,8 +308,14 @@ def _mode_rows(p: PhysicalParams) -> np.ndarray:
             )
         big = 1e-12 * max(map(abs, row))
         lead = next(c for c in row if abs(c) > big)
-        phase.append(1.0j * lead.conjugate() / (abs(lead) * math.sqrt(norm)))
-    return u * np.array(phase)[:, None]
+        phase = 1.0j * lead.conjugate() / (abs(lead) * math.sqrt(norm))
+        rows.append([c * phase for c in row])
+    return np.array(rows)
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """Frobenius norm of m, as a Python float."""
+    return math.sqrt(np.vdot(m, m).real)
 
 
 @np.errstate(over="ignore")  # |Omega|_F = inf gives 0 residuals; V is then not finite
@@ -334,22 +339,19 @@ def assemble_eigensystem(
     omega = build_omega(build_hamiltonian(cp))
     u = _mode_rows(p)
     q_inv = np.array([u[0], u[0].conj(), u[1], u[1].conj()])
-    # columns v1, v1*, v2, v2*: Q = -Sigma_y (Q^-1)^dagger Sigma_z
-    q = -SIGMA_Y @ q_inv.conj().T @ LADDER_METRIC
-    sigma = _EYE * [sd.lambda1, sd.lambda1, sd.lambda2, sd.lambda2]
-    omega_d = sigma * _MODE_PHASES
-    lam = np.array([[sd.lambda1], [sd.lambda2]])
-    r_eig = np.linalg.norm(u @ omega + 1.0j * lam * u, axis=1)
-    r_eig /= np.linalg.norm(u, axis=1) * np.linalg.norm(omega)
+    # columns v1, v1*, v2, v2*: Q = -Sigma_y (Q^-1)^dagger Sigma_z, exactly
+    q = _Q_SIGNS * q_inv[:, _SWAP].conj().T
+    l1, l2 = sd.lambda1, sd.lambda2
+    sigma = np.diag([l1, l1, l2, l2])
+    omega_d = np.diag([-1.0j * l1, 1.0j * l1, -1.0j * l2, 1.0j * l2])
+    w = q_inv @ omega  # rows 0 and 2 are u1 Omega and u2 Omega
+    n_omega = _frobenius(omega)
     residuals = {
-        "eigvec_1": float(r_eig[0]),
-        "eigvec_2": float(r_eig[1]),
-        "diagonalization": float(
-            np.linalg.norm(q_inv @ omega @ q - omega_d) / np.linalg.norm(omega_d)
-        ),
-        "ladder": float(
-            np.linalg.norm(q_inv @ (-SIGMA_Y) @ q_inv.conj().T - LADDER_METRIC) / 2.0
-        ),
+        "eigvec_1": _frobenius(w[0] + 1.0j * l1 * u[0]) / (_frobenius(u[0]) * n_omega),
+        "eigvec_2": _frobenius(w[2] + 1.0j * l2 * u[1]) / (_frobenius(u[1]) * n_omega),
+        "diagonalization": _frobenius(w @ q - omega_d)
+        / math.sqrt(2.0 * (l1 * l1 + l2 * l2)),
+        "ladder": _frobenius(q_inv @ q - _EYE) / 2.0,
     }
     # a NaN residual ranks above every number, so it fails the check
     worst = residuals["max"] = max(residuals.values(), key=lambda r: (r != r, r))

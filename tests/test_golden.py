@@ -13,11 +13,18 @@ a5ef59636d8b7bf97d9626439d49da8b09f3d723, which took work_closed_form
 from -4 det C for every pure state: only that value changed.  They were
 rewritten again by the first commit after
 4f4bc762ba646a3e645e65ec7cbe23631130f490, which runs the Szilard Schur
-step on floats: only the last digits of det_after changed.  Each case
-is regenerated here and compared byte for byte, so any change to a
-float's text, a separator or a blank line shows.  After a deliberate
-change of the output format, rewrite the files with
-`PYTHONPATH=src python tests/test_golden.py`.
+step on floats: only the last digits of det_after changed.  The
+analyze files were regenerated by the first commit after
+7c7a39e4b047cf429d5a11ff209fbe1f8a9c127e, which computes the eigensystem
+residuals from Q^-1 Omega and Q^-1 Q on a float kernel: only
+residuals.* of the two constraint files changed, each by less than
+1e-16, and the two base files came out byte-identical.  Each case is
+regenerated here and compared byte for byte, so any change to a float's
+text, a separator or a blank line shows.  After a deliberate change of
+the output format, rewrite the files with
+`PYTHONPATH=src python tests/test_golden.py`; for each file it rewrites
+it prints the JSON keys whose values changed and the largest relative
+change.
 
 The CLI's --grid sets both axes, so the CLI grids are square (21 x 21);
 the 21 x 17 cases go through the same calls as `ncho wigner`
@@ -27,6 +34,7 @@ axis cannot hide.
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -141,8 +149,53 @@ def test_outputs_match_golden_bytes(name, tmp_path, capsys):
         assert path.read_bytes() == want, path.name
 
 
+def _leaves(obj, key=""):
+    """(dotted key, value) of every scalar in a parsed JSON value."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for k, v in items:
+            yield from _leaves(v, f"{key}.{k}" if key else str(k))
+    else:
+        yield key, obj
+
+
+def describe_change(old: bytes | None, new: bytes) -> str:
+    """What a rewrite changed: the JSON keys whose values differ and the
+    largest relative change among them, or a plain note for other files."""
+    if old is None:
+        return "new file"
+    if old == new:
+        return "unchanged"
+    try:
+        before, after = (dict(_leaves(json.loads(t))) for t in (old, new))
+    except ValueError:
+        return "changed (not JSON)"
+    changed = [k for k in after.keys() | before.keys() if before.get(k) != after.get(k)]
+    if not changed:
+        return "changed in formatting only"
+    rel = [
+        abs(after[k] - before[k]) / abs(before[k]) if before[k] else float("inf")
+        for k in changed
+        if all(type(d.get(k)) in (int, float) for d in (before, after))
+    ]
+    worst = f"{max(rel):.2g}" if rel else "n/a (non-numeric)"
+    return f"changed {', '.join(sorted(changed))}; largest relative change {worst}"
+
+
+def test_describe_change_names_keys_and_largest_relative_change():
+    old = b'{"a": {"x": 1.0, "y": [2.0, 4.0]}, "v": "s"}\n'
+    new = b'{"a": {"x": 1.0, "y": [2.5, 4.0]}, "v": "t"}\n'
+    assert describe_change(old, new) == "changed a.y.0, v; largest relative change 0.25"
+    assert describe_change(old, old) == "unchanged"
+    assert describe_change(None, new) == "new file"
+    assert describe_change(b"1,2\n", b"1,3\n") == "changed (not JSON)"
+    assert describe_change(old, old.replace(b" ", b"")) == "changed in formatting only"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in [*CLI_CASES, *GRID_CASES, *STDOUT_CASES]:
+        before = {p.name: p.read_bytes() for p in GOLDEN.glob(f"{case}.*")}
         for path in write_case(case, GOLDEN / case):
-            print(path, file=sys.stderr)
+            change = describe_change(before.get(path.name), path.read_bytes())
+            print(f"{path}: {change}", file=sys.stderr)

@@ -182,6 +182,8 @@ def test_rows_are_a_lazy_read_only_sequence():
         rows[0] = eager[0]
     with pytest.raises(AttributeError):
         rows.append(eager[0])
+    with pytest.raises(AttributeError):
+        rows[0].margin = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.margin = None
 

@@ -20,6 +20,8 @@ from ncho import (
     simon_report,
     to_commutative,
 )
+from ncho.separability import simon_terms
+from ncho.symplectic import I_SIGMA_Y
 
 from conftest import constraint_params, draw_params
 
@@ -101,6 +103,33 @@ def test_ppt_band_is_the_image_of_the_simon_band():
     # well off the surface both bands agree on entangled
     rep = classify(dataclasses.replace(p, eta=p.eta * 1.01))
     assert rep.verdict == rep.ppt_verdict == "entangled"
+
+
+def test_ppt_input_is_the_matrix_product_bit_for_bit(rng, monkeypatch):
+    """ppt_oracle hands eigvals I_SIGMA_Y F V F, F = diag(1, 1, 1, -1),
+    with every bit (signed zeros included) as the matrix products give it,
+    so ppt_min keeps its value.  The last point is one where Python's
+    abs of a complex eigenvalue differs from np.abs in the last bit."""
+    eigvals = np.linalg.eigvals
+    seen = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or eigvals(a))
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    points = draw_params(rng, 500, theta=(0.0, 0.8), eta=(0.0, 0.8))
+    for p in points + [PhysicalParams(1.0, 1e-100, 1e50, 1e50, 0.04, 0.0)]:
+        v = cov_of(p).matrix
+        want = I_SIGMA_Y @ (flip @ v @ flip)
+        ppt_min = ppt_oracle(v)
+        assert seen.pop().tobytes() == want.tobytes()
+        assert ppt_min == float(np.min(np.abs(eigvals(want))))
+
+
+def test_simon_terms_of_one_matrix_equal_the_stack_path(rng):
+    """One V is read as Python floats, a stack as arrays: the same
+    arithmetic, so the terms agree bit for bit."""
+    for p in draw_params(rng, 500, theta=(0.0, 0.8), eta=(0.0, 0.8)):
+        v = cov_of(p).matrix
+        stacked = simon_terms(v[None])
+        assert simon_terms(v) == tuple(t[0] for t in stacked)
 
 
 def test_simon_rejects_unphysical_covariance():
