@@ -146,8 +146,8 @@ def covariance_matrix(l11, l22, y, d) -> np.ndarray:
     the coefficients are arrays.
 
     A coefficient that under- or overflowed float64 gives a moment that
-    is not finite (never ZeroDivisionError or a warning); require_physical
-    rejects it.
+    is not finite (never ZeroDivisionError or a warning); covariance and
+    require_physical reject it.
     """
     l11, l22 = np.float64(l11), np.float64(l22)
     v = np.zeros(np.shape(l11) + (4, 4))
@@ -169,11 +169,13 @@ def covariance(gs: GroundState) -> CovarianceMatrix:
     <x1 p2> = -y/(4 L11)        <p1 x2> = -y/(4 L22)
 
     with all other cross moments zero.  Symmetrized ordering is implied;
-    first moments vanish.
+    first moments vanish.  The state is pure, so V is physical by
+    construction; UnphysicalCovariance is raised only if V leaves float64.
     """
-    return CovarianceMatrix(
-        matrix=covariance_matrix(gs.lambda11, gs.lambda22, gs.lambda12_im, gs.d)
-    )
+    m = covariance_matrix(gs.lambda11, gs.lambda22, gs.lambda12_im, gs.d)
+    if not np.isfinite(m).all():
+        raise UnphysicalCovariance("V is not finite")
+    return CovarianceMatrix(matrix=m)
 
 
 def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):
@@ -182,7 +184,7 @@ def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):
     The canonical commutators give [X_a, X_b] = -i (Sigma_y)_ab at
     hbar = 1, so the Robertson-Schroedinger condition reads
     V - Sigma_y/2 >= 0 (the matrix is Hermitian).  require_physical
-    accepts values >= -tol |V|_F.  A stack of matrices (leading axes)
+    accepts values >= -RS_TOL |V|_F.  A stack of matrices (leading axes)
     gives one value per matrix.
     """
     m = np.asarray(v)
@@ -190,43 +192,31 @@ def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):
     return np.linalg.eigvalsh(m - 0.5 * SIGMA_Y).T[0]
 
 
-# (m.dtype.char, m.tobytes(), tol) and rs_min of the last single V that passed
-_last_passed = (None, None)
+RS_TOL = 1e-10
 
 
-def require_physical(v: CovarianceMatrix | np.ndarray, *, tol: float = 1e-10):
+def require_physical(v: CovarianceMatrix | np.ndarray):
     """Raise UnphysicalCovariance unless V satisfies Robertson-Schroedinger.
 
-    The smallest eigenvalue of V - Sigma_y/2 must reach -tol |V|_F: the
-    bound is relative, because rounding in V scales with its size.  For
-    a stack of matrices each one is held to its own bound; the error
-    reports the worst eigenvalue relative to |V|_F.  Returns
-    rs_min_eigenvalue(V), so a caller that reports it computes it once.
-
-    Results are memoized for a single 4x4 V, one entry keyed by its bytes
-    and tol: checking the V just checked (analyze, then extractable_work)
-    runs no second eigvalsh, while a V edited in place is checked again.
-    Stacks are always checked.
+    Meant for a caller's V and for scan's stacks; covariance() builds a
+    V that is physical by construction.  The smallest eigenvalue of
+    V - Sigma_y/2 must reach -RS_TOL |V|_F: the bound is relative, because
+    rounding in V scales with its size.  For a stack of matrices each one
+    is held to its own bound; the error reports the worst eigenvalue
+    relative to |V|_F.  Returns rs_min_eigenvalue(V).
     """
-    global _last_passed
     m = np.asarray(v)
-    key = (m.dtype.char, m.tobytes(), tol) if m.shape == (4, 4) else None
-    last_key, last_rs_min = _last_passed  # one read: the pair stays matched
-    if key is not None and key == last_key:
-        return last_rs_min
     try:
         rs_min = rs_min_eigenvalue(m)
     except np.linalg.LinAlgError:
         raise UnphysicalCovariance("V is not finite") from None
-    norm = np.linalg.norm(m, axis=(-2, -1)) if key is None else _frobenius(m)
+    norm = _frobenius(m) if m.shape == (4, 4) else np.linalg.norm(m, axis=(-2, -1))
     rel = rs_min / norm
     # a V that is not finite gives NaN here, which fails the comparison
-    if not (rel >= -tol).all():
+    if not (rel >= -RS_TOL).all():
         raise UnphysicalCovariance(
-            f"V - Sigma_y/2 has eigenvalue {rel.min():.6e} |V|_F < -{tol:.1e} |V|_F"
+            f"V - Sigma_y/2 has eigenvalue {rel.min():.6e} |V|_F < -{RS_TOL:.1e} |V|_F"
         )
-    if key is not None:
-        _last_passed = (key, rs_min)
     return rs_min
 
 

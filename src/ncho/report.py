@@ -10,7 +10,6 @@ from .gaussian import (
     GroundState,
     covariance,
     ground_state,
-    require_physical,
     variance_products,
 )
 from .params import (
@@ -33,7 +32,6 @@ class AnalysisReport:
     eigensystem: EigenSystem
     ground: GroundState
     cov: CovarianceMatrix
-    rs_min: float
     variance: tuple
     separability: SeparabilityReport
     tol: float
@@ -46,9 +44,6 @@ class AnalysisReport:
         The commutative, spectral, ground_state and separability blocks
         are the fields of their records, in declaration order.
         """
-        cp, sd = self.commutative, self.spectral
-        nunu = cp.nu1 * cp.nu2
-        cross = (sd.b - cp.w1**2 - cp.w2**2) / nunu if nunu > 0.0 else None
         return {
             "version": __version__,
             "tolerances": {
@@ -58,12 +53,11 @@ class AnalysisReport:
             },
             "inputs": inputs_obj(self.params),
             "effective_planck": self.hbar_e,
-            "commutative": dict(vars(cp)),
-            "spectral": {**vars(sd), "b_cross_coefficient": cross},
+            "commutative": dict(vars(self.commutative)),
+            "spectral": dict(vars(self.spectral)),
             "residuals": dict(self.eigensystem.residuals),
             "ground_state": dict(vars(self.ground)),
             "covariance": self.cov.matrix.tolist(),
-            "rs_min_eigenvalue": self.rs_min,
             "variance_products": list(self.variance),
             "separability": dict(vars(self.separability)),
         }
@@ -83,7 +77,8 @@ def analyze(
 
     Covers the Bopp map, spectrum, eigensystem with identity residuals,
     ground state, covariance matrix, uncertainty products and the
-    separability verdict with its PPT cross-check.
+    separability verdict with its PPT cross-check.  The covariance is
+    physical by construction (see covariance), so it gets no RS check.
     """
     validate(p)
     cp = to_commutative(p)
@@ -91,7 +86,6 @@ def analyze(
     es = assemble_eigensystem(p, cp, sd, tol=tol)
     gs = ground_state(cp, sd)
     cov = covariance(gs)
-    rs_min = require_physical(cov)
     rep = _simon_report(cov.matrix, eps_sep, ppt=True, reason=_reason(p, eps_c))
     return AnalysisReport(
         params=p,
@@ -101,7 +95,6 @@ def analyze(
         eigensystem=es,
         ground=gs,
         cov=cov,
-        rs_min=rs_min,
         variance=variance_products(gs),
         separability=rep,
         tol=tol,

@@ -14,10 +14,10 @@ the state is separable exactly when
 The right side is sometimes quoted without the 1/4 factor; that variant
 is strictly stronger than the uncertainty relation itself and classifies
 every state of this family (including exact product states) as
-entangled, so it cannot serve as a verdict.  Reports carry the margin of
-both versions; the verdict uses the form above.  An independent check
-computes the smallest symplectic eigenvalue of the partially transposed
-covariance matrix, which must reach 1/2 for separable states.
+entangled, so it cannot serve as a verdict and reports do not carry it.
+An independent check computes the smallest symplectic eigenvalue of the
+partially transposed covariance matrix, which must reach 1/2 for
+separable states.
 
 For the oscillator ground state the entire question collapses onto the
 imaginary cross coefficient y of the exponent: the margin works out to
@@ -89,11 +89,11 @@ def json_text(obj, *, pretty: bool = False) -> str:
 class SeparabilityReport:
     """Determinant-test quantities and the verdict for one state.
 
-    margin = lhs - rhs is >= 0 (up to eps) for separable states; the
-    _unscaled pair refers to the variant right side det1 + det2 kept for
-    diagnostics only.  ppt_min is the smallest symplectic eigenvalue of
-    the partially transposed covariance matrix (>= 1/2 means separable,
-    up to the band described in simon_report); reason tags which structural mechanism produced a separable verdict.
+    margin = lhs - rhs is >= 0 (up to eps) for separable states.  ppt_min
+    is the smallest symplectic eigenvalue of the partially transposed
+    covariance matrix (>= 1/2 means separable, up to the band described
+    in simon_report); reason tags which structural mechanism produced a
+    separable verdict.
     """
 
     det1: float
@@ -103,8 +103,6 @@ class SeparabilityReport:
     lhs: float
     rhs: float
     margin: float
-    rhs_unscaled: float
-    margin_unscaled: float
     verdict: str
     boundary: bool
     ppt_min: float | None = None
@@ -208,7 +206,7 @@ def simon_report(
 def _simon_report(
     m: np.ndarray, eps_sep: float, ppt: bool, reason: str | None = None
 ) -> SeparabilityReport:
-    """simon_report, tagged with reason, on a 4x4 V that passed require_physical."""
+    """simon_report, tagged with reason, on a 4x4 V known to be physical."""
     det1, det2, det12, trace_term = simon_terms(m)
     lhs, rhs, margin = simon_margin(det1, det2, det12, trace_term)
     ppt_min = ppt_verdict = None
@@ -225,8 +223,6 @@ def _simon_report(
         lhs=float(lhs),
         rhs=float(rhs),
         margin=float(margin),
-        rhs_unscaled=float(det1 + det2),
-        margin_unscaled=float(lhs - (det1 + det2)),
         verdict=SEPARABLE if separable(margin, rhs, eps_sep) else ENTANGLED,
         boundary=bool(on_boundary(margin, rhs, eps_sep)),
         ppt_min=ppt_min,
@@ -259,12 +255,11 @@ def classify(
     The reason tag records which known separable surface (if any) the
     inputs lie on: "theta_eta_zero", "equal_frequencies", "constraint"
     (theta m1 wt1 = eta / (m2 wt2) within eps_c) or "generic".  The
-    verdict itself always comes from the computed margin.
+    verdict comes from the margin; V is physical by construction.
     """
     validate(p)
     cp = to_commutative(p)
     m = covariance(ground_state(cp, spectral_data(cp))).matrix
-    require_physical(m)
     return _simon_report(m, eps_sep, ppt, _reason(p, eps_c))
 
 

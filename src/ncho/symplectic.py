@@ -322,20 +322,19 @@ def _frobenius(m: np.ndarray) -> float:
 def assemble_eigensystem(
     p: PhysicalParams,
     cp: CommutativeParams,
-    sd: SpectralData | None = None,
+    sd: SpectralData,
     *,
     tol: float = 1e-9,
 ) -> EigenSystem:
     """Build Q, Q^-1 and the diagonalized forms, verifying all identities.
 
-    cp = to_commutative(p); the rows u_i come from p, Omega from cp.  Q^-1
-    is the stack of rows (u1, u1*, u2, u2*), not an inverse; the ladder
-    residual certifies Q^-1 Q = I (see the module docstring).  SingularQ
-    is raised when residuals["max"], the largest of the eigenvector,
-    diagonalization and ladder residuals, exceeds tol (or is NaN).
+    cp = to_commutative(p), sd = spectral_data(cp); the rows u_i come from
+    p, Omega from cp.  Q^-1 is the stack of rows (u1, u1*, u2, u2*), not
+    an inverse; the ladder residual certifies Q^-1 Q = I (see the module
+    docstring).  SingularQ is raised when residuals["max"], the largest
+    of the eigenvector, diagonalization and ladder residuals, exceeds tol
+    (or is NaN).
     """
-    if sd is None:
-        sd = spectral_data(cp)
     omega = build_omega(build_hamiltonian(cp))
     u = _mode_rows(p)
     q_inv = np.array([u[0], u[0].conj(), u[1], u[1].conj()])

@@ -33,7 +33,6 @@ def test_analyze_reports_full_pipeline(capsys):
     assert list(obj)[:4] == ["version", "tolerances", "inputs", "effective_planck"]
     assert obj["inputs"]["w2"] == 2.0
     assert obj["spectral"]["lambda1"] == pytest.approx(2.095801337491616)
-    assert obj["spectral"]["b_cross_coefficient"] == pytest.approx(8.0)
     assert obj["residuals"]["max"] < 1e-9
     assert obj["separability"]["verdict"] == "entangled"
     assert obj["separability"]["ppt_verdict"] == "entangled"

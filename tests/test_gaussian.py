@@ -35,7 +35,7 @@ from ncho.symplectic import (
     zero_mode,
 )
 
-from conftest import constraint_params, draw_params
+from conftest import constraint_params, draw_params, wide_probe
 
 
 def solve_ground_state_independently(cp):
@@ -262,10 +262,9 @@ def test_physicality_bound_is_relative_to_the_size_of_v():
 
 @pytest.fixture
 def rs_calls(monkeypatch):
-    """Calls of gaussian.rs_min_eigenvalue, counted from an empty memo."""
+    """Calls of gaussian.rs_min_eigenvalue."""
     calls = []
     orig = gaussian.rs_min_eigenvalue
-    monkeypatch.setattr(gaussian, "_last_passed", (None, None))
     monkeypatch.setattr(
         gaussian, "rs_min_eigenvalue", lambda v: calls.append(1) or orig(v)
     )
@@ -273,8 +272,9 @@ def rs_calls(monkeypatch):
 
 
 def test_analyze_then_szilard_checks_v_once(rs_calls):
-    """extractable_work on the covariance analyze just checked reuses the
-    memoized rs_min; once V is edited in place it is checked again."""
+    """analyze builds a covariance that is physical by construction and
+    does not check it; extractable_work checks the V it is given, once
+    per call, so a V edited in place is caught."""
     rep = analyze(PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.4))
     res = extractable_work(rep.cov, MeasurementSpec())
     assert len(rs_calls) == 1
@@ -285,15 +285,28 @@ def test_analyze_then_szilard_checks_v_once(rs_calls):
     assert len(rs_calls) == 2
 
 
-def test_stacks_bypass_the_memo(rs_calls):
+def test_require_physical_checks_each_stack(rs_calls):
     vm = covariance(ground_state(to_commutative(PhysicalParams(1, 1.5, 1, 2, 0.3, 0.4)))).matrix
-    rs_min = require_physical(vm)
-    assert require_physical(vm) == rs_min
-    assert require_physical(vm, tol=1e-9) == rs_min
-    assert len(rs_calls) == 2  # a new tol is a new key
+    rs_min = rs_min_eigenvalue(vm)
     for _ in range(2):
         assert require_physical(vm[None]) == [rs_min]
-    assert len(rs_calls) == 4
+    assert len(rs_calls) == 2
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (1e-44, 1e-99, 1e-78, 1e-74, 0.04),  # L11 underflows to 0
+        (1e-30, 1e130, 1e20, 1e18, 0.0),  # L22 overflows to inf
+    ],
+)
+def test_covariance_out_of_float64_range_raises(point):
+    """The two points of test_cli.py's exit-4 test: past the spectral
+    gates the closed-form V leaves float64, and covariance itself says so,
+    because it is the one check a closed-form V gets."""
+    gs = ground_state(to_commutative(PhysicalParams(*point, eta=0.0)))
+    with pytest.raises(UnphysicalCovariance, match=r"^V is not finite$"):
+        covariance(gs)
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -322,6 +335,16 @@ def test_ground_state_meets_robertson_schroedinger_to_rounding(m1, m2, wt1, wt2,
         assume(False)
     vm = covariance(gs).matrix
     assert rs_min_eigenvalue(vm) >= -16 * 2.0**-52 * np.linalg.norm(vm)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_probe_ground_state_meets_robertson_schroedinger_to_rounding(seed):
+    """The bound above on every gate-passing point of a wide probe: masses
+    and frequencies log-uniform in [1e-8, 1e8].  This is why analyze and
+    classify run no Robertson-Schroedinger check on the V they build."""
+    vms = np.array([covariance(ground_state(to_commutative(p))).matrix for p in wide_probe(seed, 1e-8, 1e8)])
+    norms = np.linalg.norm(vms, axis=(-2, -1))
+    assert (rs_min_eigenvalue(vms) >= -16 * 2.0**-52 * norms).all()
 
 
 def test_variance_products_closed_form(rng):

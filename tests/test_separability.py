@@ -56,16 +56,16 @@ def test_margin_reduces_to_cross_coefficient_formula(rng):
 
 
 def test_unscaled_right_side_misclassifies_product_states(rng):
-    """The variant without the 1/4 factor calls even exact product
-    states entangled (margin -3/8 there); it is reported but must never
+    """The variant without the 1/4 factor, lhs - (det1 + det2), calls even
+    exact product states entangled (margin -3/8 there), so it must never
     drive the verdict."""
     for p in draw_params(rng, 20, commutative=True):
         rep = simon_report(cov_of(p))
-        assert rep.margin_unscaled == pytest.approx(-0.375, abs=1e-10)
+        assert rep.lhs - (rep.det1 + rep.det2) == pytest.approx(-0.375, abs=1e-10)
         assert rep.verdict == "separable"
     for p in draw_params(rng, 50):
         rep = simon_report(cov_of(p))
-        assert rep.margin_unscaled < 0
+        assert rep.lhs - (rep.det1 + rep.det2) < 0
 
 
 def test_generic_deformation_entangles():

@@ -232,7 +232,8 @@ def test_left_eigenvector_defining_relation(rng):
 
 def test_left_eigenvector_sign_convention(rng):
     for p in draw_params(rng, 50):
-        es = assemble_eigensystem(p, to_commutative(p))
+        cp = to_commutative(p)
+        es = assemble_eigensystem(p, cp, spectral_data(cp))
         for u in (es.u1, es.u2):
             lead = next(c for c in u if abs(c) > 1e-12 * np.abs(u).max())
             if abs(lead.imag) > 1e-12 * abs(lead):
@@ -243,7 +244,8 @@ def test_left_eigenvector_sign_convention(rng):
 
 def test_eigensystem_identities(rng):
     for p in draw_params(rng, 200, theta=(0.0, 0.8), eta=(0.0, 0.8)):
-        es = assemble_eigensystem(p, to_commutative(p))
+        cp = to_commutative(p)
+        es = assemble_eigensystem(p, cp, spectral_data(cp))
         assert es.residuals["max"] < 1e-9
 
 
@@ -280,8 +282,9 @@ def test_nan_residual_raises_singular_q(monkeypatch):
     rows = symplectic._mode_rows(p)
     rows[1, 0] = np.nan
     monkeypatch.setattr(symplectic, "_mode_rows", lambda p: rows)
+    cp = to_commutative(p)
     with pytest.raises(SingularQ, match="nan"):
-        assemble_eigensystem(p, to_commutative(p))
+        assemble_eigensystem(p, cp, spectral_data(cp))
 
 
 def test_swapped_mode_rows_raise_singular_q(monkeypatch):
@@ -291,8 +294,9 @@ def test_swapped_mode_rows_raise_singular_q(monkeypatch):
     rows = symplectic._mode_rows(p)[::-1].copy()
     assert np.isfinite(rows).all()
     monkeypatch.setattr(symplectic, "_mode_rows", lambda p: rows)
+    cp = to_commutative(p)
     with pytest.raises(SingularQ):
-        assemble_eigensystem(p, to_commutative(p))
+        assemble_eigensystem(p, cp, spectral_data(cp))
 
 
 def dense_rows(omega, sd):
@@ -368,7 +372,7 @@ def test_decoupled_modes_split(rng):
     entirely on (x2, p2)."""
     for p in draw_params(rng, 30, commutative=True):
         cp = to_commutative(p)
-        es = assemble_eigensystem(p, cp)
+        es = assemble_eigensystem(p, cp, spectral_data(cp))
         assert es.residuals["max"] < 1e-9
         # each eigenvector occupies exactly one mode pair
         for u in (es.u1, es.u2):
