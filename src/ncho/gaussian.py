@@ -36,8 +36,6 @@ class GroundState:
     lambda12_im        : y, the imaginary part of the cross coefficient
     a0_mod             : |A0| = (4 lambda11 lambda22 / pi^2)^(1/4)
     d                  : 4 lambda11 lambda22 + y^2
-    tau                : 2 (lambda1 + lambda2)
-    denom              : mu2 (w2^2 + lambda1 lambda2) - 4 mu1 nu1^2
     energy0            : ground energy (lambda1 + lambda2) / 2
     """
 
@@ -46,8 +44,6 @@ class GroundState:
     lambda12_im: float
     a0_mod: float
     d: float
-    tau: float
-    denom: float
     energy0: float
 
 
@@ -113,15 +109,13 @@ def ground_state(
     if sd is None:
         sd = spectral_data(cp)
     l1, l2 = sd.lambda1, sd.lambda2
-    l11, l22, y, d, denom = exponent_coefficients(cp, l1, l2)
+    l11, l22, y, d, _ = exponent_coefficients(cp, l1, l2)
     return GroundState(
         lambda11=float(l11),
         lambda22=float(l22),
         lambda12_im=float(y),
         a0_mod=float((4.0 * l11 * l22 / np.pi**2) ** 0.25),
         d=float(d),
-        tau=float(2.0 * (l1 + l2)),
-        denom=float(denom),
         energy0=float(0.5 * (l1 + l2)),
     )
 

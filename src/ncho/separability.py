@@ -440,7 +440,7 @@ def _scan_columns(p: PhysicalParams, eps_sep: float) -> tuple:
     """
     with np.errstate(all="ignore"):  # gated rows may divide by zero
         cp = to_commutative(p)
-        b, c, delta, *_ = biquadratic(cp)
+        b, c, delta = biquadratic(cp)
         lam1sq, lam2sq = squared_frequencies(b, c, delta)
         l1, l2 = np.sqrt(lam1sq), np.sqrt(lam2sq)
         l11, l22, y, d, _ = exponent_coefficients(cp, l1, l2)

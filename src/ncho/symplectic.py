@@ -15,7 +15,9 @@ The characteristic polynomial of Omega is biquadratic,
 
     lambda^4 - b lambda^2 + c = 0,
 
-so both normal-mode frequencies have closed forms.
+with Hm's two invariants as coefficients, b = lambda_1^2 + lambda_2^2 and
+c = lambda_1^2 lambda_2^2 = det Hm, so both normal-mode frequencies have
+closed forms.
 
 The eigenvectors come from the physical variables Y = T X (T the Bopp
 matrix).  Scaled by D^1/2 = diag(sqrt(m1) wt1, 1/sqrt(m1), sqrt(m2) wt2,
@@ -79,19 +81,15 @@ LADDER_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
 class SpectralData:
     """Closed-form spectrum of Omega.
 
-    b, c    : coefficients of lambda^4 - b lambda^2 + c
+    b, c    : coefficients of lambda^4 - b lambda^2 + c,
+              b = lambda1^2 + lambda2^2 and c = lambda1^2 lambda2^2
     delta   : discriminant b^2 - 4c
-    wx2, wy2: squared frequencies of the decoupled comparison oscillators
-    alpha0  : asymmetry ratio mu2 nu2 / (mu1 nu1) (1.0 when nu1 nu2 = 0)
     lambda1, lambda2 : normal-mode frequencies, lambda1 >= lambda2 > 0
     """
 
     b: float
     c: float
     delta: float
-    wx2: float
-    wy2: float
-    alpha0: float
     lambda1: float
     lambda2: float
 
@@ -167,32 +165,20 @@ def zero_mode(b, lam1sq, lam2sq):
 
 
 def biquadratic(cp: CommutativeParams) -> tuple:
-    """(b, c, delta, wx2, wy2, alpha0) of lambda^4 - b lambda^2 + c.
+    """(b, c, delta) of lambda^4 - b lambda^2 + c, from Hm's invariants.
 
-    Elementwise: the fields of cp may be floats or arrays of one shape.
-    At theta = eta = 0 (nu1 = nu2 = 0) the modes decouple: alpha0 = 1,
-    wx2 = w1^2, wy2 = w2^2.  Adding the 0/1 mask `dec` reaches those
-    values without a branch and adds an exact zero at coupled points.
+    b = w1^2 + w2^2 + 8 nu1 nu2 is a sum of non-negative terms, and
+    c = det Hm is the product of the determinants of Hm's (x1, p2) and
+    (p1, x2) blocks.  Elementwise: the fields of cp may be floats or
+    arrays of one shape.
     """
     w1s = cp.w1 * cp.w1
     w2s = cp.w2 * cp.w2
-    nunu = cp.nu1 * cp.nu2
-    dec = nunu == 0.0
-    wx2 = (
-        4.0 * nunu * (cp.mu1 * w1s / (4.0 * cp.mu2 * (cp.nu2 * cp.nu2 + dec)) - 1.0)
-        + dec * w1s
+    b = w1s + w2s + 8.0 * cp.nu1 * cp.nu2
+    c = (cp.mu1 * w1s / cp.mu2 - 4.0 * cp.nu2 * cp.nu2) * (
+        cp.mu2 * w2s / cp.mu1 - 4.0 * cp.nu1 * cp.nu1
     )
-    wy2 = (
-        4.0 * nunu * (cp.mu2 * w2s / (4.0 * cp.mu1 * (cp.nu1 * cp.nu1 + dec)) - 1.0)
-        + dec * w2s
-    )
-    # np.divide: a denominator that underflowed to 0 gives inf, not an error
-    alpha0 = np.divide(cp.mu2 * cp.nu2 + dec, cp.mu1 * cp.nu1 + dec)
-    ra = np.sqrt(alpha0)
-    s = ra + 1.0 / ra
-    b = alpha0 * wx2 + wy2 / alpha0 + 4.0 * nunu * (s * s)
-    c = wx2 * wy2
-    return b, c, b * b - 4.0 * c, wx2, wy2, alpha0
+    return b, c, b * b - 4.0 * c
 
 
 def squared_frequencies(b, c, delta) -> tuple:
@@ -205,22 +191,14 @@ def squared_frequencies(b, c, delta) -> tuple:
 def spectral_data(cp: CommutativeParams) -> SpectralData:
     """Closed-form normal-mode frequencies.
 
-    The biquadratic coefficients are written through the decoupled
-    comparison frequencies and the asymmetry ratio alpha0:
+    Omega's spectrum is fixed by Hm's two invariants (see biquadratic):
 
-        wx2 = 4 nu1 nu2 (mu1 w1^2 / (4 mu2 nu2^2) - 1)
-        wy2 = 4 nu1 nu2 (mu2 w2^2 / (4 mu1 nu1^2) - 1)
-        alpha0 = mu2 nu2 / (mu1 nu1)
-        b = alpha0 wx2 + wy2/alpha0 + 4 nu1 nu2 (sqrt(alpha0) + 1/sqrt(alpha0))^2
-        c = wx2 wy2
+        b = lambda1^2 + lambda2^2 = w1^2 + w2^2 + 8 nu1 nu2
+        c = lambda1^2 lambda2^2 = det Hm
+          = (mu1 w1^2 / mu2 - 4 nu2^2) (mu2 w2^2 / mu1 - 4 nu1^2)
 
-    which collapses to b = w1^2 + w2^2 + 8 nu1 nu2 and
-
-        c = w1^2 w2^2 + 16 nu1^2 nu2^2 - 4 (mu1 w1^2 nu1^2/mu2 + mu2 w2^2 nu2^2/mu1)
-
-    when expanded.  At theta = eta = 0 (nu1 = nu2 = 0) alpha0 = 1,
-    wx2 = w1^2 and wy2 = w2^2.  The cross term in b carries coefficient 8;
-    see tests/test_symplectic.py for the oracle that pins this down.
+    The cross term in b carries coefficient 8; see tests/test_symplectic.py
+    for the oracles that pin b and c down.
 
     lambda2 is evaluated as sqrt(2c / (b + sqrt(delta))) to avoid
     cancellation when c << b^2.
@@ -231,7 +209,7 @@ def spectral_data(cp: CommutativeParams) -> SpectralData:
     float64; see mode_collision and zero_mode.
     """
     with np.errstate(all="ignore"):  # the gates below reject what overflowed
-        b, c, delta, wx2, wy2, alpha0 = biquadratic(cp)
+        b, c, delta = biquadratic(cp)
         lam1sq, lam2sq = squared_frequencies(b, c, delta)
         collide = mode_collision(b, delta)
         zero = zero_mode(b, lam1sq, lam2sq)
@@ -252,9 +230,6 @@ def spectral_data(cp: CommutativeParams) -> SpectralData:
         b=float(b),
         c=float(c),
         delta=float(delta),
-        wx2=float(wx2),
-        wy2=float(wy2),
-        alpha0=float(alpha0),
         lambda1=float(np.sqrt(lam1sq)),
         lambda2=float(np.sqrt(lam2sq)),
     )

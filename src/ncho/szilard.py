@@ -108,15 +108,16 @@ def conditional_covariance(
 
     Runs on floats.  The solve pivots as np.linalg.solve does: on a dense
     V of far-apart scales the adjugate formula loses 20 to 150 times more
-    of det V1'.
+    of det V1'.  V2 + gamma counts as singular when its determinant is
+    below 1e-14 times the product of its diagonal: for a positive-definite
+    matrix that ratio lies in (0, 1] at any scale.
     """
     rows, g = np.asarray(v).tolist(), np.ravel(gamma).tolist()
     (a00, a01, c00, c01), (a10, a11, c10, c11) = rows[0], rows[1]
     e0 = (rows[2][2] + g[0], rows[2][3] + g[1], c00, c10)  # [B + gamma | C^T]
     e1 = (rows[3][2] + g[2], rows[3][3] + g[3], c01, c11)
     det = e0[0] * e1[1] - e0[1] * e1[0]
-    scale = max(abs(e0[0]), abs(e0[1]), abs(e1[0]), abs(e1[1])) ** 2
-    if abs(det) <= 1e-14 * max(scale, 1e-300):
+    if abs(det) <= 1e-14 * abs(e0[0] * e1[1]):
         raise SingularMeasurement(f"V2 + gamma is singular (det = {det:.3e})")
     (p, q, y0, y1), (r, t, z0, z1) = (e1, e0) if abs(e1[0]) > abs(e0[0]) else (e0, e1)
     l = r / p

@@ -118,6 +118,18 @@ def test_analyze_degenerate_points_exit_3(capsys, patch):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["analyze", "szilard"])
+def test_near_collision_of_far_apart_scales_exits_3(capsys, command):
+    """A true near-collision (P-/P+ ~ 2.5e-183 in the factored spectrum):
+    the mode-collision gate sees it once b and c are Hm's invariants.  The
+    comparison-frequency route missed it and exited 4 in the eigensystem
+    check."""
+    flags = ["--m1", "1e-100", "--m2", "1e-40", "--w1", "1e-20", "--w2", "1e-20"]
+    code, out, err = run(capsys, [command, *flags, "--theta", "0.1", "--eta", "0"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: normal modes collide")
+
+
 EXTREME = ("1e-300", "1e-150", "1e150", "1e300")
 
 
@@ -490,6 +502,18 @@ def test_szilard_rejects_bad_parameters(capsys, patch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_szilard_measurement_gate_is_scale_free(capsys):
+    """Here V2 + gamma is diag(3.5e15, 0.5): its determinant equals the
+    product of its diagonal, yet a gate against the square of its largest
+    entry called it singular (det = 1.753e+15) and exited 4."""
+    flags = ["--m1", "3.47e22", "--m2", "4.67e-11", "--w1", "0.266", "--w2", "0.000118"]
+    code, out, err = run(capsys, ["szilard", *flags, "--theta", "0.00175", "--eta", "0.000188"])
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["det_after"] == pytest.approx(0.25, rel=1e-12)
+    assert obj["work"] == pytest.approx(obj["work_closed_form"], rel=1e-9)
 
 
 def test_szilard_rejects_non_finite_angle(capsys):

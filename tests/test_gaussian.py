@@ -386,7 +386,7 @@ def test_exponent_denominator_is_a_positive_block_determinant_past_the_gates():
     eta[::2] = 4.0 / theta[::2] * np.exp(rng.uniform(-0.7, 0.7, 10000))
     with np.errstate(all="ignore"):
         cp = to_commutative(PhysicalParams(m1, m2, wt1, wt2, theta, eta))
-        b, c, delta, *_ = biquadratic(cp)
+        b, c, delta = biquadratic(cp)
         lam1sq, lam2sq = squared_frequencies(b, c, delta)
     ok = ~(mode_collision(b, delta) | zero_mode(b, lam1sq, lam2sq))
     assert ok[::2].sum() > 500 and ok[1::2].sum() > 500

@@ -23,15 +23,24 @@ rewritten again by the first commit after
 9d872948aaa80ffe2643212a7e65f4148a3b386d, which dropped the keys
 rs_min_eigenvalue, separability.margin_unscaled,
 separability.rhs_unscaled and spectral.b_cross_coefficient: every
-other value and the order of the rest came out unchanged.  Each case is
+other value and the order of the rest came out unchanged.  The analyze,
+scan and szilard_constraint files were rewritten by the first commit
+after 2c13027704368314af917809cc46e595a9532a0c, which takes b and c as
+the invariants of Hm and dropped the keys spectral.wx2, spectral.wy2,
+spectral.alpha0, ground_state.tau and ground_state.denom: the other
+values moved in their last digits only (scan margins by up to 5e-13
+relative; on the constraint surface, where y = 0 exactly, y went from
+1.9e-17 to 3.8e-17 and work_closed_form from 6.0e-35 to 2.4e-34), and
+the Wigner files came out byte-identical.  Each case is
 regenerated here and compared byte for byte, so any change to a float's
 text, a separator or a blank line shows; a JSON file that differs
 fails with the keys whose values moved (describe_change) in place of a
 byte diff.  After a deliberate change of
 the output format, rewrite the files with
 `PYTHONPATH=src python tests/test_golden.py`; for each file it rewrites
-it prints the JSON keys whose values changed and the largest relative
-change.
+it prints what describe_change reports: for JSON the keys removed,
+added and changed, for CSV the number of changed cells, each with the
+largest relative change.
 
 The CLI's --grid sets both axes, so the CLI grids are square (21 x 21);
 the 21 x 17 cases go through the same calls as `ncho wigner`
@@ -42,6 +51,7 @@ axis cannot hide.
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -168,9 +178,17 @@ def _leaves(obj, key=""):
         yield key, obj
 
 
+def _largest_relative_change(pairs) -> str:
+    """The largest |new - old| / |old| over (old, new) pairs of numbers."""
+    rel = [abs(b - a) / abs(a) if a else float("inf") for a, b in pairs]
+    return f"{max(rel):.2g}" if rel else "n/a (non-numeric)"
+
+
 def describe_change(old: bytes | None, new: bytes) -> str:
-    """What a rewrite changed: the JSON keys whose values differ and the
-    largest relative change among them, or a plain note for other files."""
+    """What a rewrite changed.  For JSON: the keys removed, added and
+    changed, with the largest relative change among the changed numeric
+    values.  For CSV (cells split at commas and spaces): how many cells
+    changed and the largest relative change among the numeric ones."""
     if old is None:
         return "new file"
     if old == new:
@@ -178,17 +196,46 @@ def describe_change(old: bytes | None, new: bytes) -> str:
     try:
         before, after = (dict(_leaves(json.loads(t))) for t in (old, new))
     except ValueError:
-        return "changed (not JSON)"
-    changed = [k for k in after.keys() | before.keys() if before.get(k) != after.get(k)]
-    if not changed:
-        return "changed in formatting only"
-    rel = [
-        abs(after[k] - before[k]) / abs(before[k]) if before[k] else float("inf")
-        for k in changed
-        if all(type(d.get(k)) in (int, float) for d in (before, after))
+        return _describe_csv_change(old, new)
+    removed, added = before.keys() - after.keys(), after.keys() - before.keys()
+    parts = [
+        f"{verb} {', '.join(sorted(keys))}"
+        for verb, keys in (("removed", removed), ("added", added))
+        if keys
     ]
-    worst = f"{max(rel):.2g}" if rel else "n/a (non-numeric)"
-    return f"changed {', '.join(sorted(changed))}; largest relative change {worst}"
+    changed = sorted(k for k in before.keys() & after.keys() if before[k] != after[k])
+    if changed:
+        numeric = [
+            (before[k], after[k])
+            for k in changed
+            if all(type(d[k]) in (int, float) for d in (before, after))
+        ]
+        parts.append(
+            f"changed {', '.join(changed)}; "
+            f"largest relative change {_largest_relative_change(numeric)}"
+        )
+    return "; ".join(parts) or "changed in formatting only"
+
+
+def _describe_csv_change(old: bytes, new: bytes) -> str:
+    before, after = (
+        [re.split("[ ,]", line) for line in t.decode().splitlines()] for t in (old, new)
+    )
+    if [len(row) for row in before] != [len(row) for row in after]:
+        return "changed in shape (rows or cells per row)"
+    pairs = [(a, b) for ra, rb in zip(before, after) for a, b in zip(ra, rb) if a != b]
+    if not pairs:
+        return "changed in formatting only"
+    numeric = []
+    for a, b in pairs:
+        try:
+            numeric.append((float(a), float(b)))
+        except ValueError:
+            pass
+    return (
+        f"changed {len(pairs)} of {sum(map(len, before))} cells; "
+        f"largest relative change {_largest_relative_change(numeric)}"
+    )
 
 
 def test_describe_change_names_keys_and_largest_relative_change():
@@ -197,8 +244,22 @@ def test_describe_change_names_keys_and_largest_relative_change():
     assert describe_change(old, new) == "changed a.y.0, v; largest relative change 0.25"
     assert describe_change(old, old) == "unchanged"
     assert describe_change(None, new) == "new file"
-    assert describe_change(b"1,2\n", b"1,3\n") == "changed (not JSON)"
     assert describe_change(old, old.replace(b" ", b"")) == "changed in formatting only"
+    dropped = b'{"a": {"y": [2.0, 4.0]}, "v": "s", "w": 1.0}\n'
+    assert describe_change(old, dropped) == "removed a.x; added w"
+    assert describe_change(new, dropped) == (
+        "removed a.x; added w; changed a.y.0, v; largest relative change 0.2"
+    )
+    assert describe_change(b"t,m\n1.0,2.0\n", b"t,m\n1.0,2.5\n") == (
+        "changed 1 of 4 cells; largest relative change 0.25"
+    )
+    assert describe_change(b"# x w\n1 2\n", b"# x w\n1 3\n") == (
+        "changed 1 of 5 cells; largest relative change 0.5"
+    )
+    assert describe_change(b"1,,a\n", b"1,,b\n") == (
+        "changed 1 of 3 cells; largest relative change n/a (non-numeric)"
+    )
+    assert describe_change(b"1,2\n", b"1,2\n3\n") == "changed in shape (rows or cells per row)"
 
 
 if __name__ == "__main__":
