@@ -1,11 +1,13 @@
 """Closed-form normal modes against a dense eigensolver.
 
-The quadratic Hamiltonian has frequencies solving a biquadratic
-lambda^4 - b lambda^2 + c = 0.  Both coefficients are invariants of H:
-b = lambda1^2 + lambda2^2 = w1^2 + w2^2 + 8 nu1 nu2 and
-c = lambda1^2 lambda2^2 = det H, each checked here against a dense
-computation, and in the isotropic case lambda = w +- 2 nu makes the
-cross coefficient 8 visible to the eye.
+The mode frequencies come from the physical inputs in factored form:
+sigma = lambda1 + lambda2 and delta = lambda1 - lambda2 are hypots of
+the entries of the scaled commutator table, and lambda1 lambda2 =
+(sqrt(wt1 wt2) (1 - theta eta / 4))^2.  Here they are checked against
+the eigenvalues of the dense motion generator Omega and against the two
+invariants of H, b = lambda1^2 + lambda2^2 = w1^2 + w2^2 + 8 nu1 nu2 and
+c = lambda1^2 lambda2^2 = det H; in the isotropic case lambda = w +- 2 nu
+makes the cross coefficient 8 visible to the eye.
 """
 
 import numpy as np
@@ -22,25 +24,30 @@ from ncho import (
 p = PhysicalParams(m1=1.0, m2=1.5, wt1=1.0, wt2=2.0, theta=0.1, eta=0.4)
 cp = to_commutative(p)
 sd = spectral_data(cp)
+f = sd.forms
 
-ev = np.linalg.eigvals(build_omega(build_hamiltonian(cp)))
-print("biquadratic coefficients")
-print(f"  b = {sd.b!r}   (= lambda1^2 + lambda2^2 of the eigensolver = "
-      f"{float(np.sum(ev.imag**2)) / 2!r})")
-print(f"  c = {sd.c!r}   (= det H = {float(np.linalg.det(build_hamiltonian(cp)))!r})")
-
-print("\nclosed-form mode frequencies")
+print("closed-form mode frequencies")
+print(f"  sigma   = {float(f.sigma)!r}   (lambda1 + lambda2)")
+print(f"  delta   = {float(f.delta)!r}   (lambda1 - lambda2)")
 print(f"  lambda1 = {sd.lambda1!r}")
 print(f"  lambda2 = {sd.lambda2!r}")
 
+ev = np.linalg.eigvals(build_omega(build_hamiltonian(cp)))
 print("\ndense eigensolver on the motion generator Omega = i Sigma_y H")
 print("  eigenvalues:", np.sort_complex(ev))
 lam_num = np.sort(ev.imag)[2:]
 print(f"  |lambda1 - closed form| = {abs(lam_num[1] - sd.lambda1):.3e}")
 print(f"  |lambda2 - closed form| = {abs(lam_num[0] - sd.lambda2):.3e}")
 
-es = assemble_eigensystem(p, cp, sd)
-print("\neigensystem identity residuals (eigenvectors, diagonalization, ladder; ladder also certifies Q^-1 Q = 1)")
+w1s, w2s = cp.w1**2, cp.w2**2
+print("\ninvariants of H")
+print(f"  b = w1^2 + w2^2 + 8 nu1 nu2 = {float(w1s + w2s + 8 * cp.nu1 * cp.nu2)!r}"
+      f"   (lambda1^2 + lambda2^2 = {sd.lambda1**2 + sd.lambda2**2!r})")
+print(f"  c = det H = {float(np.linalg.det(build_hamiltonian(cp)))!r}"
+      f"   ((lambda1 lambda2)^2 = {(sd.lambda1 * sd.lambda2) ** 2!r})")
+
+es = assemble_eigensystem(p, sd)
+print("\neigensystem identity residuals, in the scaled frame (eigenvectors, diagonalization, ladder)")
 for key, value in es.residuals.items():
     print(f"  {key:16s} {value:.3e}")
 
@@ -53,6 +60,6 @@ print("\nisotropic check: m1 = m2, wt1 = wt2")
 print(f"  lambda1 - (w + 2 nu) = {sd_iso.lambda1 - (iso.w1 + 2 * nu):+.3e}")
 print(f"  lambda2 - (w - 2 nu) = {sd_iso.lambda2 - (iso.w1 - 2 * nu):+.3e}")
 b6 = iso.w1**2 + iso.w2**2 + 6 * iso.nu1 * iso.nu2
-lam6 = np.sqrt((b6 + np.sqrt(b6**2 - 4 * sd_iso.c)) / 2)
+lam6 = np.sqrt((b6 + np.sqrt(b6**2 - 4 * (sd_iso.lambda1 * sd_iso.lambda2) ** 2)) / 2)
 print(f"  with a 6 nu1 nu2 coefficient instead: lambda1 off by "
       f"{lam6 - (iso.w1 + 2 * nu):+.3e}")

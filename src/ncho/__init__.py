@@ -24,7 +24,6 @@ from .errors import (
     DegenerateForm,
     DegenerateGroundState,
     DegenerateSpectrum,
-    EigenvectorResidualTooLarge,
     EmptyRange,
     HomodyneUnsupported,
     InvalidAxisName,
@@ -97,7 +96,6 @@ __all__ = [
     "NonPositiveParameter",
     "NegativeDeformation",
     "DegenerateSpectrum",
-    "EigenvectorResidualTooLarge",
     "SingularQ",
     "DegenerateGroundState",
     "UnphysicalCovariance",

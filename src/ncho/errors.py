@@ -35,16 +35,15 @@ class NegativeDeformation(NchoError):
 
 
 class DegenerateSpectrum(NchoError):
-    """The two normal-mode frequencies coincide (or one vanishes); the
-    normal-mode basis is not unique (or the Bopp map is singular) there.
-    Inputs whose spectrum overflows float64 raise it as well."""
+    """A degenerate point, one of four gates (symplectic.gates): the Bopp
+    map is singular (theta eta = 4, |k|/h below SINGULAR_TOL, lambda2 = 0),
+    a frequency, a moment of V or an eigenvector row leaves float64, the
+    normal modes collide (delta/sigma below COLLISION_TOL, the basis is
+    not unique), or the correlation s passes CORRELATION_MAX, where the
+    float64 V no longer resolves its purity.  The message names the gate
+    and its value."""
 
     exit_code = 3
-
-
-class EigenvectorResidualTooLarge(NchoError):
-    """The norm u (-Sigma_y) u^dagger of an eigenvector built from the
-    so(4) projectors is not a finite positive number."""
 
 
 class SingularQ(NchoError):

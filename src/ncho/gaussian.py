@@ -5,12 +5,19 @@ The ground state is a correlated Gaussian
     psi0(x1, x2) = A0 exp(-L11 x1^2 - L22 x2^2 - i y x1 x2),
 
 with real L11, L22 > 0 and a purely imaginary cross coefficient
-L12 = i y.  The three coefficients follow in closed form from the
-normal-mode frequencies; y is the single quantity that carries all the
-mode-mode correlation.  y = 0 collapses the state to a product of two
-squeezed vacua, which is what happens at theta = eta = 0, at equal
-oscillator frequencies wt1 = wt2, and on the parameter surface
-theta m1 wt1 = eta / (m2 wt2).
+L12 = i y.  In the notation of symplectic (a_i = sqrt(m_i wt_i),
+th = theta a1 a2, et = eta / (a1 a2)) the coefficients factor as
+
+    L11 = 2 m1 wt1 sigma / ((wt1 + wt2)(4 + th^2)),
+    L22 = 2 m2 wt2 sigma / ((wt1 + wt2)(4 + th^2)),
+    y   = 2 a1 a2 (et - th)(wt1 - wt2) / ((wt1 + wt2)(4 + th^2)),
+
+with sigma = lambda1 + lambda2 = 2 E0; symplectic.closed_forms
+evaluates them.  y is the single quantity that carries all the mode-mode
+correlation, and it vanishes exactly on its two factors: on the
+constraint th = et, i.e. theta m1 wt1 = eta / (m2 wt2) (theta = eta = 0
+included), and at equal frequencies wt1 = wt2.  There the state is a
+product of two squeezed vacua.
 
 Covariances of (x1, p1, x2, p2) in this state are rational in the
 coefficients; the only nonzero cross moments are <x1 p2> and <p1 x2>,
@@ -19,13 +26,14 @@ and every second moment involves d = 4 L11 L22 + y^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnphysicalCovariance
 from .params import CommutativeParams
-from .symplectic import SIGMA_Y, SpectralData, _frobenius, spectral_data
+from .symplectic import PURITY_TOL, SIGMA_Y, SpectralData, _frobenius, spectral_data
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,7 @@ class GroundState:
     lambda12_im        : y, the imaginary part of the cross coefficient
     a0_mod             : |A0| = (4 lambda11 lambda22 / pi^2)^(1/4)
     d                  : 4 lambda11 lambda22 + y^2
-    energy0            : ground energy (lambda1 + lambda2) / 2
+    energy0            : ground energy sigma / 2 = (lambda1 + lambda2) / 2
     """
 
     lambda11: float
@@ -61,63 +69,17 @@ class CovarianceMatrix:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
-@np.errstate(all="ignore")  # a product that leaves float64 gives 0 or inf
-def exponent_coefficients(cp: CommutativeParams, lambda1, lambda2) -> tuple:
-    """(lambda11, lambda22, y, d, denom) by the formulas of ground_state.
-    Elementwise."""
-    w2s = cp.w2 * cp.w2
-    ll = lambda1 * lambda2
-    tau = 2.0 * (lambda1 + lambda2)
-    nu1s = cp.nu1 * cp.nu1
-    denom = cp.mu2 * (w2s + ll) - 4.0 * cp.mu1 * nu1s
-    l11 = cp.mu1 * cp.mu2 * tau * ll / (4.0 * denom)
-    l22 = cp.mu2 * tau * (cp.mu2 * w2s - 4.0 * cp.mu1 * nu1s) / (4.0 * denom)
-    y = (
-        2.0
-        * cp.mu2
-        * (4.0 * cp.mu1 * nu1s * cp.nu2 - cp.mu2 * cp.nu2 * w2s + cp.mu1 * cp.nu1 * ll)
-        / denom
-    )
-    return l11, l22, y, 4.0 * l11 * l22 + y * y, denom
-
-
-def ground_state(
-    cp: CommutativeParams, sd: SpectralData | None = None
-) -> GroundState:
-    """Exponent coefficients of psi0 from the normal-mode frequencies.
-
-    With tau = 2 (lambda1 + lambda2) and the common denominator
-
-        denom = mu2 (w2^2 + lambda1 lambda2) - 4 mu1 nu1^2
-
-    the coefficients are
-
-        lambda11 = mu1 mu2 tau lambda1 lambda2 / (4 denom)
-        lambda22 = mu2 tau (mu2 w2^2 - 4 mu1 nu1^2) / (4 denom)
-        y = 2 mu2 (4 mu1 nu1^2 nu2 - mu2 nu2 w2^2 + mu1 nu1 lambda1 lambda2)
-            / denom
-
-    These satisfy the stationary Schroedinger equation coefficient by
-    coefficient (see tests/test_gaussian.py for the independent check)
-    with energy (lambda1 + lambda2)/2.
-
-    Raises only what spectral_data raises.  Past the spectral gates Hm
-    is positive definite, so mu2 w2^2 - 4 mu1 nu1^2 (mu1 times the
-    determinant of its (p1, x2) block) is positive, and with it denom,
-    lambda11 and lambda22 (see tests/test_gaussian.py).
+def ground_state(cp: CommutativeParams, sd: SpectralData | None = None) -> GroundState:
+    """Exponent coefficients of psi0, read from the closed forms of sd
+    (default spectral_data(cp), cp = to_commutative(p)); they solve the
+    stationary Schroedinger equation with energy sigma / 2 (checked in
+    tests/test_gaussian.py).  Raises only what spectral_data raises.
     """
-    if sd is None:
-        sd = spectral_data(cp)
-    l1, l2 = sd.lambda1, sd.lambda2
-    l11, l22, y, d, _ = exponent_coefficients(cp, l1, l2)
-    return GroundState(
-        lambda11=float(l11),
-        lambda22=float(l22),
-        lambda12_im=float(y),
-        a0_mod=float((4.0 * l11 * l22 / np.pi**2) ** 0.25),
-        d=float(d),
-        energy0=float(0.5 * (l1 + l2)),
-    )
+    f = (sd or spectral_data(cp)).forms
+    l11, l22 = float(f.l11), float(f.l22)
+    # |A0| = (4 l11 l22 / pi^2)^(1/4), with no product that can overflow
+    a0 = math.sqrt(2.0 / math.pi * math.sqrt(l11) * math.sqrt(l22))
+    return GroundState(l11, l22, float(f.y), a0, float(f.d), float(0.5 * f.sigma))
 
 
 def psi0(gs: GroundState, x1, x2) -> np.ndarray:
@@ -139,9 +101,10 @@ def covariance_matrix(l11, l22, y, d) -> np.ndarray:
     """The 4x4 covariance of covariance(), stacked over leading axes when
     the coefficients are arrays.
 
-    A coefficient that under- or overflowed float64 gives a moment that
-    is not finite (never ZeroDivisionError or a warning); covariance and
-    require_physical reject it.
+    A moment that under- or overflows float64 comes out 0 or not finite
+    (never ZeroDivisionError or a warning); the range gate of
+    symplectic.gates refuses the points where one does, by the same
+    operations.
     """
     l11, l22 = np.float64(l11), np.float64(l22)
     v = np.zeros(np.shape(l11) + (4, 4))
@@ -164,12 +127,10 @@ def covariance(gs: GroundState) -> CovarianceMatrix:
 
     with all other cross moments zero.  Symmetrized ordering is implied;
     first moments vanish.  The state is pure, so V is physical by
-    construction; UnphysicalCovariance is raised only if V leaves float64.
+    construction, and past the spectral gates every moment is a float64
+    number (symplectic.gates).
     """
-    m = covariance_matrix(gs.lambda11, gs.lambda22, gs.lambda12_im, gs.d)
-    if not np.isfinite(m).all():
-        raise UnphysicalCovariance("V is not finite")
-    return CovarianceMatrix(matrix=m)
+    return CovarianceMatrix(covariance_matrix(gs.lambda11, gs.lambda22, gs.lambda12_im, gs.d))
 
 
 def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):
@@ -204,7 +165,11 @@ def require_physical(v: CovarianceMatrix | np.ndarray):
         rs_min = rs_min_eigenvalue(m)
     except np.linalg.LinAlgError:
         raise UnphysicalCovariance("V is not finite") from None
-    norm = _frobenius(m) if m.shape == (4, 4) else np.linalg.norm(m, axis=(-2, -1))
+    if m.shape == (4, 4):
+        norm = _frobenius(m)
+    else:  # scaled to the largest entry, so that no square overflows
+        top = np.abs(m).max(axis=(-2, -1))
+        norm = top * np.linalg.norm(m / top[..., None, None], axis=(-2, -1))
     rel = rs_min / norm
     # a V that is not finite gives NaN here, which fails the comparison
     if not (rel >= -RS_TOL).all():
@@ -212,9 +177,6 @@ def require_physical(v: CovarianceMatrix | np.ndarray):
             f"V - Sigma_y/2 has eigenvalue {rel.min():.6e} |V|_F < -{RS_TOL:.1e} |V|_F"
         )
     return rs_min
-
-
-PURITY_TOL = 1e-9
 
 
 def is_pure(v: CovarianceMatrix | np.ndarray) -> bool:
@@ -230,13 +192,14 @@ def is_pure(v: CovarianceMatrix | np.ndarray) -> bool:
 
 
 def variance_products(gs: GroundState) -> tuple:
-    """(dx1 dp1, dx2 dp2); both equal (1/2) sqrt(1 + y^2 / (4 L11 L22)).
-
-    Equality of the two products and the value 1/2 at y = 0 reflect that
-    the cross coefficient is the only source of single-mode mixedness.
+    """(dx1 dp1, dx2 dp2); both equal (1/2) sqrt(1 + s), s = y^2 / (4 L11 L22),
+    taken as hypot(1, y / (2 sqrt(L11) sqrt(L22))) / 2 so that no product
+    leaves float64.  Equality of the two products and the value 1/2 at
+    y = 0 reflect that y is the only source of single-mode mixedness.
     """
-    q = 0.5 * np.sqrt(gs.d / (4.0 * gs.lambda11 * gs.lambda22))
-    return (float(q), float(q))
+    r = gs.lambda12_im / (2.0 * math.sqrt(gs.lambda11) * math.sqrt(gs.lambda22))
+    q = 0.5 * math.hypot(1.0, r)
+    return (q, q)
 
 
 def energy(sd: SpectralData, n1: int = 0, n2: int = 0) -> float:

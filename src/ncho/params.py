@@ -21,8 +21,9 @@ frequencies w_i and a bilinear coupling (nu1, nu2):
         + 2 nu1 x2 p1 - 2 nu2 x1 p2.
 
 This module holds the two parameter records and the map between them.
-Everything downstream (spectrum, ground state, separability, Wigner
-function) is computed from the commutative side.
+The record that to_commutative returns keeps p in its `physical` field
+(not part of equality, repr or JSON): spectral_data and ground_state read
+the factored closed forms of p through it (symplectic.closed_forms).
 
 Units are chosen so that hbar = 1 (every stage after the Bopp map
 assumes it), and all six physical inputs are plain numbers.
@@ -30,7 +31,7 @@ assumes it), and all six physical inputs are plain numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,7 @@ class CommutativeParams:
     w1, w2   : effective frequencies
     nu1, nu2 : coefficients of the x2 p1 and x1 p2 couplings (each enters
                the Hamiltonian with a factor 2, see module docstring)
+    physical : the PhysicalParams mapped, None on a record built by hand
     """
 
     mu1: float
@@ -71,6 +73,7 @@ class CommutativeParams:
     w2: float
     nu1: float
     nu2: float
+    physical: PhysicalParams | None = field(default=None, compare=False, repr=False)
 
 
 _POSITIVE = ("m1", "m2", "wt1", "wt2")
@@ -174,10 +177,10 @@ def to_commutative(p: PhysicalParams) -> CommutativeParams:
     k1 = p.m1 * wt1s + eta2 / (4.0 * p.m2)
     k2 = p.m2 * wt2s + eta2 / (4.0 * p.m1)
     # np.divide: where 1/mu overflowed, mu = 0 gives inf, not ZeroDivisionError;
-    # spectral_data's gates reject such a point, so numpy need not warn
+    # the closed forms never read these fields, so numpy need not warn
     with np.errstate(all="ignore"):
         w1 = np.sqrt(np.divide(k1, mu1))
         w2 = np.sqrt(np.divide(k2, mu2))
     nu1 = (p.eta + p.m1 * p.m2 * wt2s * p.theta) / (4.0 * p.m1)
     nu2 = (p.eta + p.m1 * p.m2 * wt1s * p.theta) / (4.0 * p.m2)
-    return CommutativeParams(mu1=mu1, mu2=mu2, w1=w1, w2=w2, nu1=nu1, nu2=nu2)
+    return CommutativeParams(mu1, mu2, w1, w2, nu1, nu2, physical=p)

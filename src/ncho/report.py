@@ -42,7 +42,8 @@ class AnalysisReport:
         """Report as a JSON-ready dict with fixed field order.
 
         The commutative, spectral, ground_state and separability blocks
-        are the fields of their records, in declaration order.
+        are the fields of their records that repr shows, in declaration
+        order.
         """
         return {
             "version": __version__,
@@ -53,17 +54,23 @@ class AnalysisReport:
             },
             "inputs": inputs_obj(self.params),
             "effective_planck": self.hbar_e,
-            "commutative": dict(vars(self.commutative)),
-            "spectral": dict(vars(self.spectral)),
+            "commutative": _fields_obj(self.commutative),
+            "spectral": _fields_obj(self.spectral),
             "residuals": dict(self.eigensystem.residuals),
-            "ground_state": dict(vars(self.ground)),
+            "ground_state": _fields_obj(self.ground),
             "covariance": self.cov.matrix.tolist(),
             "variance_products": list(self.variance),
-            "separability": dict(vars(self.separability)),
+            "separability": _fields_obj(self.separability),
         }
 
     def json_text(self, *, pretty: bool = False) -> str:
         return json_text(self.json_obj(), pretty=pretty)
+
+
+def _fields_obj(record) -> dict:
+    """The fields of a dataclass record that its repr shows."""
+    shown = record.__dataclass_fields__
+    return {k: v for k, v in vars(record).items() if shown[k].repr}
 
 
 def analyze(
@@ -83,10 +90,10 @@ def analyze(
     validate(p)
     cp = to_commutative(p)
     sd = spectral_data(cp)
-    es = assemble_eigensystem(p, cp, sd, tol=tol)
+    es = assemble_eigensystem(p, sd, tol=tol)
     gs = ground_state(cp, sd)
     cov = covariance(gs)
-    rep = _simon_report(cov.matrix, eps_sep, ppt=True, reason=_reason(p, eps_c))
+    rep = _simon_report(cov.matrix, eps_sep, ppt=True, reason=_reason(p, sd.forms, eps_c))
     return AnalysisReport(
         params=p,
         hbar_e=effective_planck(p),

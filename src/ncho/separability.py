@@ -43,19 +43,11 @@ from .gaussian import (
     CovarianceMatrix,
     covariance,
     covariance_matrix,
-    exponent_coefficients,
     ground_state,
     require_physical,
 )
 from .params import PhysicalParams, to_commutative, validate
-from .symplectic import (
-    _SWAP,
-    biquadratic,
-    mode_collision,
-    spectral_data,
-    squared_frequencies,
-    zero_mode,
-)
+from .symplectic import _SWAP, ClosedForms, closed_forms, degenerate, spectral_data
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -175,9 +167,17 @@ def ppt_oracle(v: CovarianceMatrix | np.ndarray) -> float:
     1/2 witness entanglement, and for two-mode Gaussian states the
     witness is conclusive.  Both sign flips and the row swap of I_SIGMA_Y
     are exact, so they are applied as one signed row swap; adding 0.0
-    gives its zeros the + sign that matrix products give them.
+    gives its zeros the + sign that matrix products give them.  First the
+    local scaling x_i -> 2^k_i x_i, p_i -> 2^-k_i p_i (exact, symplectic,
+    so the spectrum stays) brings <x_i^2> and <p_i^2> within a factor 2^4
+    of each other: at far-apart scales eigvals lost ppt_min without it.
     """
     m = np.asarray(v)
+    e = [math.frexp(x)[1] for x in m.diagonal().tolist()]
+    k = int((e[1] - e[0]) / 4), int((e[3] - e[2]) / 4)
+    if k != (0, 0):
+        s = np.ldexp(1.0, [k[0], -k[0], k[1], -k[1]])
+        m = m * s[:, None] * s
     return float(np.min(np.abs(np.linalg.eigvals(m[_SWAP] * _PPT_SIGNS + 0.0))))
 
 
@@ -194,8 +194,11 @@ def simon_report(
     (margin is quartic in the state's natural units while rhs never
     drops below the vacuum value).  The boundary flag marks
     |margin| <= eps_sep * rhs.  The PPT verdict uses the image of that
-    band: on this pure family 1/2 - ppt_min ~ sqrt(-margin), so it reads
-    separable when 1/2 - ppt_min <= sqrt(eps_sep * rhs).  Raises
+    band on the model's pure family, where margin = -s/4, rhs = (1 + s)/8
+    and 1/2 - ppt_min = (1 + sqrt(s) - sqrt(1 + s))/2: the Simon band
+    ends at s ~ eps_sep/2, so it reads separable when
+    1/2 - ppt_min <= sqrt(eps_sep / 8) (sqrt(eps_sep * rhs) would pass
+    every state with s >~ 2/eps_sep, however entangled).  Raises
     UnphysicalCovariance when V fails the Robertson-Schroedinger check.
     """
     m = np.asarray(v)
@@ -213,7 +216,7 @@ def _simon_report(
     if ppt:
         ppt_min = ppt_oracle(m)
         ppt_verdict = (
-            SEPARABLE if 0.5 - ppt_min <= math.sqrt(eps_sep * rhs) else ENTANGLED
+            SEPARABLE if 0.5 - ppt_min <= math.sqrt(eps_sep / 8.0) else ENTANGLED
         )
     return SeparabilityReport(
         det1=float(det1),
@@ -231,14 +234,14 @@ def _simon_report(
     )
 
 
-def _reason(p: PhysicalParams, eps_c: float) -> str:
+def _reason(p: PhysicalParams, f: ClosedForms, eps_c: float) -> str:
+    """Which factor of y, (et - th)(wt1 - wt2), vanishes to eps_c relative
+    to its own sum; A02 - A13 = rho (th - et) carries the first."""
     if p.theta == 0.0 and p.eta == 0.0:
         return "theta_eta_zero"
-    if abs(p.wt1 - p.wt2) <= eps_c * max(p.wt1, p.wt2):
+    if abs(p.wt1 - p.wt2) <= eps_c * (p.wt1 + p.wt2):
         return "equal_frequencies"
-    lhs = p.theta * p.m1 * p.wt1
-    rhs = p.eta / (p.m2 * p.wt2)
-    if abs(lhs - rhs) <= eps_c * max(lhs, rhs, 1e-300):
+    if abs(f.a02 - f.a13) <= eps_c * (f.a02 + f.a13):
         return "constraint"
     return "generic"
 
@@ -259,8 +262,9 @@ def classify(
     """
     validate(p)
     cp = to_commutative(p)
-    m = covariance(ground_state(cp, spectral_data(cp))).matrix
-    return _simon_report(m, eps_sep, ppt, _reason(p, eps_c))
+    sd = spectral_data(cp)
+    m = covariance(ground_state(cp, sd)).matrix
+    return _simon_report(m, eps_sep, ppt, _reason(p, sd.forms, eps_c))
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,7 @@ class ScanResult:
     margin     : float64 margin, NaN on degenerate points
     verdict    : int8 index into VERDICTS
     boundary   : bool, |margin| <= eps_sep * rhs
-    degenerate : bool, a spectral gate (mode_collision, zero_mode) fired
+    degenerate : bool, a gate of symplectic.gates fired
 
     Whether a point has a margin and a verdict is read from degenerate,
     never from NaN: a NaN margin on a point that is not degenerate prints
@@ -433,20 +437,16 @@ def _scan_columns(p: PhysicalParams, eps_sep: float) -> tuple:
     """(margin, verdict, boundary, degenerate) arrays for the grid points
     p, whose axis fields are arrays: the columns of ScanResult.
 
-    The closed forms and gate predicates are those of classify, evaluated
-    on arrays.  Points that trip a gate are degenerate, with a NaN margin
-    and the empty verdict.  Invalid points raise through validate, and an
-    unphysical covariance through require_physical.
+    The closed forms, gates and covariance are those of classify,
+    evaluated on arrays.  Points that trip a gate are degenerate, with a
+    NaN margin and the empty verdict.  Invalid points raise through
+    validate, and an unphysical covariance through require_physical.
     """
-    with np.errstate(all="ignore"):  # gated rows may divide by zero
-        cp = to_commutative(p)
-        b, c, delta = biquadratic(cp)
-        lam1sq, lam2sq = squared_frequencies(b, c, delta)
-        l1, l2 = np.sqrt(lam1sq), np.sqrt(lam2sq)
-        l11, l22, y, d, _ = exponent_coefficients(cp, l1, l2)
-        degenerate = mode_collision(b, delta) | zero_mode(b, lam1sq, lam2sq)
-    ok = ~degenerate
-    v = covariance_matrix(l11[ok], l22[ok], y[ok], d[ok])
+    validate(p)
+    with np.errstate(all="ignore"):  # degenerate() rejects what overflowed
+        f = closed_forms(p)
+        ok = ~degenerate(f)
+    v = covariance_matrix(f.l11[ok], f.l22[ok], f.y[ok], f.d[ok])
     require_physical(v)
     _, rhs, margin_ok = simon_margin(*simon_terms(v))
     margin = np.full(ok.shape, np.nan)
@@ -455,7 +455,7 @@ def _scan_columns(p: PhysicalParams, eps_sep: float) -> tuple:
     verdict[ok] = separable(margin_ok, rhs, eps_sep)
     boundary = np.zeros(ok.shape, dtype=bool)
     boundary[ok] = on_boundary(margin_ok, rhs, eps_sep)
-    return margin, verdict, boundary, degenerate
+    return margin, verdict, boundary, ~ok
 
 
 def scan(

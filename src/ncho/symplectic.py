@@ -1,66 +1,49 @@
 """Normal modes of the coupled quadratic Hamiltonian.
 
-The effective commutative Hamiltonian is the quadratic form
+The effective commutative Hamiltonian is H = (1/2) X^T Hm X on
+X = (x1, p1, x2, p2), Hm built from CommutativeParams, and Heisenberg
+evolution is generated by Omega = i Sigma_y Hm, with eigenvalues
+-+i lambda_1, -+i lambda_2, lambda_1 >= lambda_2 > 0.
 
-    H = (1/2) X^T Hm X,    X = (x1, p1, x2, p2),
+Everything here comes instead from the physical inputs, in a frame where
+nothing cancels.  Scaled by D^1/2 = diag(sqrt(m1) wt1, 1/sqrt(m1),
+sqrt(m2) wt2, 1/sqrt(m2)), the noncommutative variables Y = T X (T the
+Bopp matrix) make H = (1/2)|D^1/2 Y|^2 and evolve under the real
+antisymmetric table A = D^1/2 K D^1/2, K = T (i Sigma_y) T^T, similar to
+Omega (Omega = M^-1 A M, M = D^1/2 T).  With h = 1 + theta eta/4,
+k = 1 - theta eta/4, rho = sqrt(wt1 wt2), a1 a2 = sqrt(m1 wt1) sqrt(m2 wt2),
+th = theta a1 a2 and et = eta / (a1 a2), A has the upper entries
+A01 = wt1 h, A23 = wt2 h, A02 = rho th and A13 = rho et; its self-dual
+and anti-self-dual halves A+- = (A +- *A)/2 commute (so(4) = su(2) + su(2))
+with norms sigma/2 = (lambda1 + lambda2)/2 and delta/2 = (lambda1 -
+lambda2)/2, and its Pfaffian is lambda1 lambda2 = (rho k)^2.  The two true
+degeneracies are delta = 0 (theta = eta = 0 with wt1 = wt2) and k = 0
+(theta eta = 4: the Bopp map is singular and lambda2 = 0).
 
-with Hm built from CommutativeParams.  Heisenberg evolution closes on X,
-and the object that gets diagonalized is
-
-    Omega = i Sigma_y Hm,
-
-a real 4x4 matrix whose eigenvalues come in pairs -i lambda_1, +i lambda_1,
--i lambda_2, +i lambda_2 with lambda_1 >= lambda_2 > 0 for stable input.
-The characteristic polynomial of Omega is biquadratic,
-
-    lambda^4 - b lambda^2 + c = 0,
-
-with Hm's two invariants as coefficients, b = lambda_1^2 + lambda_2^2 and
-c = lambda_1^2 lambda_2^2 = det Hm, so both normal-mode frequencies have
-closed forms.
-
-The eigenvectors come from the physical variables Y = T X (T the Bopp
-matrix).  Scaled by D^1/2 = diag(sqrt(m1) wt1, 1/sqrt(m1), sqrt(m2) wt2,
-1/sqrt(m2)) they make H = (1/2)|D^1/2 Y|^2, with the real antisymmetric
-commutator table A = D^1/2 K D^1/2, K = T (i Sigma_y) T^T.  A splits
-into commuting self-dual and anti-self-dual halves A+- = (A +- *A)/2
-(so(4) = su(2) + su(2)), A+-^2 = -|a+-|^2, so (1 - i s A+-/|a+-|)/2 are
-projectors.  With +i on both halves (mode 1), or +i on A+ and -i on A-
-(mode 2; |a+|^2 - |a-|^2 = Pf A >= 0), their product has rank one and a
-column of it is the eigenvector of A for +i lambda, which gives the left
-eigenvector u of Omega for -i lambda.  Rows u_i, normalized to
-u (-Sigma_y) u^dagger = 1 with the first significant component positive
-imaginary, and columns v_i = -Sigma_y u_i^dagger make a similarity
-transformation Q that diagonalizes Omega and carries the metric needed
-for ladder operators:
-
-    Q^-1 Omega Q = Omega_D,
-    Q^-1 (-Sigma_y) (Q^-1)^dagger = diag(1, -1, 1, -1).
-
-The last identity is the statement [zeta_i, zeta_j^dagger] = delta_ij for
-the mode operators zeta = Q^-1 X, i.e. the transformation is a (complex
-form of a) symplectic one and the modes are genuine bosonic modes.
-
-Both identities and the eigenvector relations are checked at assembly
-time against Omega, built from the commutative side, and stored as
-relative Frobenius residuals; SingularQ is raised when the largest one
-exceeds the tolerance.  Q = -Sigma_y (Q^-1)^dagger Sigma_z is built as
-the exact signed permutation of (Q^-1)^dagger that it is, so
-Q^-1 Q - I = (L - Sigma_z) Sigma_z with L the left side of the ladder
-identity: the ladder residual is |Q^-1 Q - I|_F / 2, and
-Q Q^-1 - I = Q (Q^-1 Q - I) Q^-1 would only magnify it by up to the
-condition number of Q.  The other residuals share W = Q^-1 Omega (rows
-0 and 2 are u1 Omega, u2 Omega); |Omega_D|_F = sqrt(2 (l1^2 + l2^2)).
+For s = +1 (mode 1) or -1 (mode 2) the projectors (1 - i s A+-/|a+-|)/2
+multiply to e e^dagger, e a unit eigenvector of A for +i lambda, and
+u = e^T D^1/2 T / sqrt(lambda) is the left eigenvector of Omega for
+-i lambda with u (-Sigma_y) u^dagger = 1.  The rows u_i and the columns
+v_i = -Sigma_y u_i^dagger make Q with Q^-1 Omega Q = Omega_D and
+Q^-1 (-Sigma_y) (Q^-1)^dagger = diag(1, -1, 1, -1): [zeta_i, zeta_j^dagger]
+= delta_ij for zeta = Q^-1 X, genuine bosonic modes.  The identities are
+checked in the scaled frame, on A / sigma and the unit rows
+P = (e1, e1*, e2, e2*), of order one at any input scale: A e_i =
+i lambda_i e_i, P A P^dagger = Omega_D (Q^-1 Omega Q = Omega_D up to the
+scaling by sqrt(lambda)) and P P^dagger = 1 (with the eigenvector
+relations, the ladder identity).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, EigenvectorResidualTooLarge, SingularQ
+from .errors import DegenerateSpectrum, SingularQ
 from .params import CommutativeParams, PhysicalParams
 
 # Pauli y and its two-mode block version, ordering (x1,p1,x2,p2)
@@ -76,22 +59,133 @@ I_SIGMA_Y = np.kron(np.eye(2), J2)
 
 LADDER_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
 
+# what closed_forms gives, each a float or an array of the inputs' shape:
+# A01, A23, A02, A13, h, k, sigma, delta, the two frequencies, the
+# ground-state coefficients l11, l22, y, d = 4 l11 l22 + y^2 and the
+# correlation s = y^2 / (4 l11 l22)
+ClosedForms = namedtuple(
+    "ClosedForms", "a01 a23 a02 a13 h k sigma delta lambda1 lambda2 l11 l22 y d s"
+)
+
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _bopp_defect(theta, eta):
+    """k = 1 - theta eta / 4 within one rounding (theta eta exactly as
+    t + err, Dekker's product of Veltkamp halves).  Elementwise; past
+    2^996 (~6.7e299) the split overflows and k is NaN (out of range)."""
+    t = theta * eta
+    c = _SPLIT * theta
+    h1 = c - (c - theta)
+    c = _SPLIT * eta
+    h2 = c - (c - eta)
+    l1, l2 = theta - h1, eta - h2
+    err = ((h1 * h2 - t) + h1 * l2 + l1 * h2) + l1 * l2
+    return (1.0 - 0.25 * t) - 0.25 * err
+
+
+def closed_forms(p: PhysicalParams) -> ClosedForms:
+    """The spectrum and ground state of p (module docstring's notation):
+
+        sigma   = hypot((wt1 + wt2) h, rho |th - et|)
+        delta   = hypot((wt1 - wt2) h, rho (th + et))
+        lambda1 = (sigma + delta) / 2,     lambda2 = (rho k)^2 / lambda1
+        l11     = 2 m1 wt1 sigma / ((wt1 + wt2)(4 + th^2)), l22 likewise
+        y       = 2 a1 a2 (et - th)(wt1 - wt2) / ((wt1 + wt2)(4 + th^2))
+        s       = y^2 / (4 l11 l22) = ((et - th)(wt1 - wt2) / (2 sigma))^2
+
+    Past th - et and wt1 - wt2, the factors whose zeros are the separable
+    surfaces, each is a product, quotient or hypot: a few ulps at any
+    scale.  Floats and float64 arrays of one shape go through the same
+    numpy calls, so a scan row equals its point bit for bit.  Nothing is
+    checked (spectral_data gates), and callers run it under np.errstate.
+    """
+    k = _bopp_defect(p.theta, p.eta)
+    h = 2.0 - k
+    rho = np.sqrt(p.wt1) * np.sqrt(p.wt2)
+    a1a2 = np.sqrt(p.m1 * p.wt1) * np.sqrt(p.m2 * p.wt2)
+    th, et = p.theta * a1a2, p.eta / a1a2
+    wsum, wdif = p.wt1 + p.wt2, p.wt1 - p.wt2
+    sigma = np.hypot(wsum * h, rho * abs(th - et))
+    delta = np.hypot(wdif * h, rho * (th + et))
+    lam1 = 0.5 * (sigma + delta)
+    rk = rho * k
+    den = wsum * (4.0 + th * th)
+    l11, l22 = 2.0 * p.m1 * p.wt1 * sigma / den, 2.0 * p.m2 * p.wt2 * sigma / den
+    y = 2.0 * a1a2 * (et - th) * wdif / den
+    r = (et - th) / sigma * (0.5 * wdif)
+    return ClosedForms(
+        p.wt1 * h, p.wt2 * h, rho * th, rho * et, h, k, sigma, delta,
+        lam1, rk * rk / lam1, l11, l22, y, 4.0 * l11 * l22 + y * y, r * r,
+    )
+
+
+# a collision below this delta/sigma: Delta/b^2 < 1e-10 restated, as
+# Delta/b^2 ~ 4 delta^2/sigma^2 (b = lambda1^2 + lambda2^2, Delta = (sigma delta)^2)
+COLLISION_TOL = math.sqrt(1e-10) / 2.0
+# the singular Bopp map at or below this |k|/h: c = 4 units u = 2^-52.  k
+# is exact to one rounding, and decimal inputs on theta eta = 4 round to
+# doubles with |k|/h up to ~u/2
+SINGULAR_TOL = 4.0 * 2.0**-52
+# a pure V has 16 det V = 1; gaussian.is_pure accepts |16 det V - 1| up to this
+PURITY_TOL = 1e-9
+# the float64 V of the ground state is pure only to ~4 u (1 + s) (3.5 u (1 + s)
+# at worst on 2,440 probe points with s >= 1e3), beyond PURITY_TOL / 2 past
+# this s: no stage that reads V (purity, the Wigner norm, det V1' = 1/4) holds
+CORRELATION_MAX = PURITY_TOL / (8.0 * 2.0**-52)
+
+
+def _ranged(f: ClosedForms) -> list:
+    """(name, value, inside) of what must be a float64 number: the
+    frequencies and the moments of V by gaussian.covariance_matrix's own
+    operations, so V is one past the gates.  inside is elementwise: finite,
+    and > 0 but for the cross moments; NaN fails."""
+    q11, q22 = 4.0 * f.l11, 4.0 * f.l22
+    pos = (("lambda1", f.lambda1), ("lambda2", f.lambda2), ("<x1^2>", 1.0 / q11),
+           ("<p1^2>", f.d / q22), ("<x2^2>", 1.0 / q22), ("<p2^2>", f.d / q11))
+    out = [(n, v, (v > 0.0) & (v < np.inf)) for n, v in pos]
+    cross = (("<x1 p2>", -f.y / q11), ("<p1 x2>", -f.y / q22))
+    return out + [(n, v, abs(v) < np.inf) for n, v in cross]
+
+
+def gates(f: ClosedForms) -> tuple:
+    """(name, fires, detail) of the four gates of spectral_data, in order:
+    fires is elementwise (a NaN fires the range gate alone), detail()
+    gives the gate's value at a float point.  lambda1 bounds sigma and
+    delta, so the range gate covers every output that a later stage reads."""
+    ranged = _ranged(f)
+    inside = True
+    for _, _, ok in ranged:
+        inside = inside & ok
+    return (
+        ("singular Bopp map (theta eta = 4)", (abs(f.k) <= SINGULAR_TOL * f.h) & (f.h < np.inf),
+         lambda: f"|k|/h = {abs(f.k) / f.h:.6e} <= {SINGULAR_TOL:.6e}"),
+        ("out of float64 range", np.logical_not(inside),
+         lambda: "%s = %r" % next((n, float(v)) for n, v, ok in ranged if not ok)),
+        ("normal modes collide", f.delta < COLLISION_TOL * f.sigma,
+         lambda: f"delta/sigma = {f.delta / f.sigma:.6e} < {COLLISION_TOL:.6e}"),
+        ("correlation past float64 resolution", f.s > CORRELATION_MAX,
+         lambda: f"s = {f.s:.6e} > {CORRELATION_MAX:.6e}"),
+    )
+
+
+def degenerate(f: ClosedForms):
+    """Whether any gate of spectral_data fires.  Elementwise."""
+    out = False
+    for _, fires, _ in gates(f):
+        out = out | fires
+    return out
+
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Closed-form spectrum of Omega.
+    """Normal-mode frequencies lambda1 >= lambda2 > 0, with the ClosedForms
+    they were read from (forms: for the later stages; not part of
+    equality, repr or JSON)."""
 
-    b, c    : coefficients of lambda^4 - b lambda^2 + c,
-              b = lambda1^2 + lambda2^2 and c = lambda1^2 lambda2^2
-    delta   : discriminant b^2 - 4c
-    lambda1, lambda2 : normal-mode frequencies, lambda1 >= lambda2 > 0
-    """
-
-    b: float
-    c: float
-    delta: float
     lambda1: float
     lambda2: float
+    forms: ClosedForms = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -142,97 +236,24 @@ def build_omega(hm: np.ndarray) -> np.ndarray:
     return I_SIGMA_Y @ hm
 
 
-DEG_TOL = 1e-10
-
-
-def mode_collision(b, delta):
-    """Gate: the discriminant is below DEG_TOL b^2, so lambda1 ~ lambda2.
-
-    Delta / b^2 is dimensionless, so the gate does not depend on the
-    frequency scale.  Elementwise on arrays.
-    """
-    return delta < DEG_TOL * b * b
-
-
-def zero_mode(b, lam1sq, lam2sq):
-    """Gate: lambda2^2 / b is below DEG_TOL, a zero-frequency mode.
-
-    It passes only where b > 0 and lambda1^2 is finite, and NaN fails it,
-    so it also fires where finite inputs of far-apart scales overflow the
-    spectrum in float64.  Elementwise on arrays.
-    """
-    return np.logical_not((lam2sq >= DEG_TOL * b) & (b > 0.0) & (lam1sq < np.inf))
-
-
-def biquadratic(cp: CommutativeParams) -> tuple:
-    """(b, c, delta) of lambda^4 - b lambda^2 + c, from Hm's invariants.
-
-    b = w1^2 + w2^2 + 8 nu1 nu2 is a sum of non-negative terms, and
-    c = det Hm is the product of the determinants of Hm's (x1, p2) and
-    (p1, x2) blocks.  Elementwise: the fields of cp may be floats or
-    arrays of one shape.
-    """
-    w1s = cp.w1 * cp.w1
-    w2s = cp.w2 * cp.w2
-    b = w1s + w2s + 8.0 * cp.nu1 * cp.nu2
-    c = (cp.mu1 * w1s / cp.mu2 - 4.0 * cp.nu2 * cp.nu2) * (
-        cp.mu2 * w2s / cp.mu1 - 4.0 * cp.nu1 * cp.nu1
-    )
-    return b, c, b * b - 4.0 * c
-
-
-def squared_frequencies(b, c, delta) -> tuple:
-    """(lambda1^2, lambda2^2), the second as c / lambda1^2 to avoid
-    cancellation when c << b^2.  Elementwise."""
-    lam1sq = 0.5 * (b + np.sqrt(delta))
-    return lam1sq, c / lam1sq
-
-
 def spectral_data(cp: CommutativeParams) -> SpectralData:
-    """Closed-form normal-mode frequencies.
+    """Normal-mode frequencies of cp = to_commutative(p), from closed_forms(p).
 
-    Omega's spectrum is fixed by Hm's two invariants (see biquadratic):
-
-        b = lambda1^2 + lambda2^2 = w1^2 + w2^2 + 8 nu1 nu2
-        c = lambda1^2 lambda2^2 = det Hm
-          = (mu1 w1^2 / mu2 - 4 nu2^2) (mu2 w2^2 / mu1 - 4 nu1^2)
-
-    The cross term in b carries coefficient 8; see tests/test_symplectic.py
-    for the oracles that pin b and c down.
-
-    lambda2 is evaluated as sqrt(2c / (b + sqrt(delta))) to avoid
-    cancellation when c << b^2.
-
-    Raises DegenerateSpectrum when the discriminant falls below
-    DEG_TOL * b^2 (mode collision lambda1 = lambda2) or lambda2^2 below
-    DEG_TOL * b (zero-frequency mode), or when the spectrum overflows
-    float64; see mode_collision and zero_mode.
+    Raises DegenerateSpectrum at the singular Bopp map, where a frequency
+    or a moment of V leaves float64, where the modes collide and where the
+    correlation s passes CORRELATION_MAX, gated in that order; the message
+    names the gate and its value.  A CommutativeParams built by hand does
+    not carry p and raises TypeError.
     """
-    with np.errstate(all="ignore"):  # the gates below reject what overflowed
-        b, c, delta = biquadratic(cp)
-        lam1sq, lam2sq = squared_frequencies(b, c, delta)
-        collide = mode_collision(b, delta)
-        zero = zero_mode(b, lam1sq, lam2sq)
-    if collide:
-        raise DegenerateSpectrum(
-            f"normal modes collide: Delta = {delta:.6e} < {DEG_TOL * b * b:.6e}"
-        )
-    if zero:
-        if not (b > 0.0 and math.isfinite(lam1sq) and math.isfinite(lam2sq)):
-            raise DegenerateSpectrum(
-                f"spectrum overflows float64: b = {b:.6e}, "
-                f"lambda^2 = {lam1sq:.6e}, {lam2sq:.6e}"
-            )
-        raise DegenerateSpectrum(
-            f"zero-frequency mode: lambda2^2 = {lam2sq:.6e} < {DEG_TOL * b:.6e}"
-        )
-    return SpectralData(
-        b=float(b),
-        c=float(c),
-        delta=float(delta),
-        lambda1=float(np.sqrt(lam1sq)),
-        lambda2=float(np.sqrt(lam2sq)),
-    )
+    p = cp.physical
+    if p is None:
+        raise TypeError("spectral_data needs the record of to_commutative(p), which keeps p")
+    with np.errstate(all="ignore"):  # the gates reject what overflowed
+        f = closed_forms(p)
+        for name, fires, detail in gates(f):
+            if fires:
+                raise DegenerateSpectrum(f"{name}: {detail()}")
+    return SpectralData(float(f.lambda1), float(f.lambda2), f)
 
 
 _EYE = np.eye(4, dtype=complex)
@@ -241,51 +262,61 @@ _SWAP = [1, 0, 3, 2]
 _Q_SIGNS = 1.0j * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
 
 
-def _mode_rows(p: PhysicalParams) -> np.ndarray:
-    """Rows (u1, u2), u_i Omega = -i lambda_i u_i, from the so(4) split.
-
-    A has four nonzero upper entries, so its Hodge dual swaps A01 with
-    A23 and A02 with -A13; A+- are scaled to A+-^2 = -1 by the norm of
-    their first rows (p1, p2), (q1, q2).  v is the largest-diagonal column
-    of the Hermitian (1 - i A+)(1 - i s A-), u = v^T D^1/2 T, on floats.
+def _mode_rows(p: PhysicalParams, f: ClosedForms) -> np.ndarray:
+    """Rows (u1, u1*, u2, u2*, e1, e1*, e2, e2*): u_i Omega = -i lambda_i u_i,
+    A e_i = i lambda_i e_i, |e_i| = 1; on floats, DegenerateSpectrum if u
+    leaves float64.  A+- scaled to A+-^2 = -1 have first rows p = (A01 +
+    A23, A02 - A13) / sigma, q = (A01 - A23, A02 + A13) / delta, and
+    (1 - i A+)(1 - i s A-) = 4 e e^dagger is quadratic in g = p + s q and
+    h = p - s q.  Of p1 +- q1 one sums terms of one sign, the other is gap /
+    (that one), gap = p1^2 - q1^2 = q2^2 - p2^2 >= 0 in factored form; so
+    for p2 +- q2: nothing cancels where lambda2 << lambda1 makes p ~ q.  e
+    is the largest-diagonal column over 2 sqrt(its diagonal entry); e and u
+    take the phase that makes u's first significant entry positive imaginary.
     """
-    hbar_e = 1.0 + p.theta * p.eta / 4.0
-    rm = math.sqrt(p.m1 * p.m2)
-    a01, a23 = p.wt1 * hbar_e, p.wt2 * hbar_e
-    a02, a13 = rm * p.wt1 * p.wt2 * p.theta, p.eta / rm
-    s01, s02, d01, d02 = a01 + a23, a02 - a13, a01 - a23, a02 + a13
-    n_plus, n_minus = math.hypot(s01, s02), math.hypot(d01, d02)
-    p1, p2, q1, q2 = s01 / n_plus, s02 / n_plus, d01 / n_minus, d02 / n_minus
-    # A+ A- = [[-al, 0, 0, ga], [0, -be, -de, 0], [0, -de, be, 0], [ga, 0, 0, al]]
-    al, be = p1 * q1 + p2 * q2, p1 * q1 - p2 * q2
-    ga, de = p1 * q2 - p2 * q1, p1 * q2 + p2 * q1
-    diag = [-al, -be, be, al]
+    sigma, delta, l1, l2 = map(float, (f.sigma, f.delta, f.lambda1, f.lambda2))
+    a01, a23, a02, a13 = (float(x) / sigma for x in (f.a01, f.a23, f.a02, f.a13))
+    p1, p2 = a01 + a23, a02 - a13
+    q1, q2 = float(f.h) * (p.wt1 - p.wt2) / delta, float(f.a02 + f.a13) / delta
+    gap = 2.0 * (min(a01, a23) * q2 + abs(q1) * min(a02, a13)) * (p1 * q2 + abs(q1 * p2))
+    s1, d1, s2, d2 = p1 + q1, p1 - q1, p2 + q2, p2 - q2  # one of each pair cancels
+    plus1, minus1 = (s1, gap / s1) if q1 >= 0.0 else (gap / d1, d1)
+    plus2, minus2 = (s2, -gap / s2 if s2 else 0.0) if p2 >= 0.0 else (-gap / d2, d2)
     r1, r2 = math.sqrt(p.m1), math.sqrt(p.m2)
     d_half = (r1 * p.wt1, 1.0 / r1, r2 * p.wt2, 1.0 / r2)
     a, b = p.theta / 2.0, p.eta / 2.0  # the Bopp matrix T
-    rows = []
-    for s, j in ((1.0, diag.index(min(diag))), (-1.0, diag.index(max(diag)))):
-        # A+ + s A- has upper entries k01, k02, k13, k23
-        k01, k02, k13, k23 = p1 + s * q1, p2 + s * q2, s * q2 - p2, p1 - s * q1
+    us, es = [], []
+    plus, minus = (plus1, plus2), (minus1, minus2)
+    for (g1, g2), (h1, h2), lam in ((plus, minus, l1), (minus, plus, l2)):
+        cross, dot = 0.5 * (h1 * g2 - g1 * h2), 0.5 * (g1 * g2 - h1 * h2)
+        diag = [0.5 * (g1 * g1 + g2 * g2), 0.5 * (g1 * g1 + h2 * h2),
+                0.5 * (h1 * h1 + g2 * g2), 0.5 * (h1 * h1 + h2 * h2)]
+        j = diag.index(max(diag))
         column = (
-            (1.0 + s * al, 1j * k01, 1j * k02, -s * ga),
-            (-1j * k01, 1.0 + s * be, s * de, 1j * k13),
-            (-1j * k02, s * de, 1.0 - s * be, 1j * k23),
-            (-s * ga, -1j * k13, -1j * k23, 1.0 - s * al),
+            (diag[0], 1j * g1, 1j * g2, -cross),
+            (-1j * g1, diag[1], dot, -1j * h2),
+            (-1j * g2, dot, diag[2], 1j * h1),
+            (-cross, 1j * h2, -1j * h1, diag[3]),
         )[j]
         w0, w1, w2, w3 = (c * d for c, d in zip(column, d_half))
         row = [w0 - b * w3, w1 + a * w2, b * w1 + w2, w3 - a * w0]
-        # u (-Sigma_y) u^dagger = -2 Im(u0 u1* + u2 u3*)
-        norm = -2.0 * (row[0] * row[1].conjugate() + row[2] * row[3].conjugate()).imag
-        if not 0.0 < norm < math.inf:
-            raise EigenvectorResidualTooLarge(
-                f"norm u (-Sigma_y) u^dagger = {norm:.6g} is not finite and > 0"
-            )
-        big = 1e-12 * max(map(abs, row))
-        lead = next(c for c in row if abs(c) > big)
-        phase = 1.0j * lead.conjugate() / (abs(lead) * math.sqrt(norm))
-        rows.append([c * phase for c in row])
-    return np.array(rows)
+        try:
+            size = [abs(c) for c in row]
+        except OverflowError:  # a finite entry past 1.8e308 in modulus
+            size = [math.inf]
+        top = max(size)
+        if not 0.0 < top < math.inf:
+            raise DegenerateSpectrum("out of float64 range: eigenvector rows u")
+        i = next(i for i, r in enumerate(size) if r > 1e-12 * top)
+        unit = 0.5j * row[i].conjugate() / (size[i] * math.sqrt(diag[j]))
+        e = [c * unit for c in column]
+        unit /= math.sqrt(lam)
+        u = [c * unit for c in row]
+        us += [u, [c.conjugate() for c in u]]
+        es += [e, [c.conjugate() for c in e]]
+    if not all(map(cmath.isfinite, us[0] + us[2])):
+        raise DegenerateSpectrum("out of float64 range: eigenvector rows u")
+    return np.array(us + es)
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -293,53 +324,45 @@ def _frobenius(m: np.ndarray) -> float:
     return math.sqrt(np.vdot(m, m).real)
 
 
-@np.errstate(over="ignore")  # |Omega|_F = inf gives 0 residuals; V is then not finite
 def assemble_eigensystem(
     p: PhysicalParams,
-    cp: CommutativeParams,
     sd: SpectralData,
     *,
     tol: float = 1e-9,
 ) -> EigenSystem:
-    """Build Q, Q^-1 and the diagonalized forms, verifying all identities.
-
-    cp = to_commutative(p), sd = spectral_data(cp); the rows u_i come from
-    p, Omega from cp.  Q^-1 is the stack of rows (u1, u1*, u2, u2*), not
-    an inverse; the ladder residual certifies Q^-1 Q = I (see the module
-    docstring).  SingularQ is raised when residuals["max"], the largest
-    of the eigenvector, diagonalization and ladder residuals, exceeds tol
-    (or is NaN).
+    """Build Q, Q^-1 (the rows u1, u1*, u2, u2*) and the diagonal forms for
+    sd = spectral_data(to_commutative(p)), verifying the identities on
+    A / sigma and P = (e1, e1*, e2, e2*): eigvec_i = |A e_i - i lambda_i e_i|
+    / (|A| |e_i|), diagonalization = |P A P^dagger - Omega_D| / |Omega_D|,
+    ladder = |P P^dagger - 1| / 2 (Frobenius norms).  SingularQ when
+    residuals["max"] exceeds tol or is NaN.
     """
-    omega = build_omega(build_hamiltonian(cp))
-    u = _mode_rows(p)
-    q_inv = np.array([u[0], u[0].conj(), u[1], u[1].conj()])
+    f = sd.forms
+    rows = _mode_rows(p, f)
+    q_inv, pe = rows[:4], rows[4:]
     # columns v1, v1*, v2, v2*: Q = -Sigma_y (Q^-1)^dagger Sigma_z, exactly
     q = _Q_SIGNS * q_inv[:, _SWAP].conj().T
     l1, l2 = sd.lambda1, sd.lambda2
-    sigma = np.diag([l1, l1, l2, l2])
     omega_d = np.diag([-1.0j * l1, 1.0j * l1, -1.0j * l2, 1.0j * l2])
-    w = q_inv @ omega  # rows 0 and 2 are u1 Omega and u2 Omega
-    n_omega = _frobenius(omega)
+    scale = float(f.sigma)
+    a01, a23, a02, a13 = (float(x) / scale for x in (f.a01, f.a23, f.a02, f.a13))
+    a = np.array([[0, a01, a02, 0], [-a01, 0, 0, a13], [-a02, 0, 0, a23], [0, -a13, -a23, 0]])
+    pe_h = pe.conj().T
+    w = pe @ a  # rows 0 and 2 are e1^T A = -i l1 e1^T and e2^T A, over sigma
+    n_a = _frobenius(a)
+    s1, s2 = l1 / scale, l2 / scale
     residuals = {
-        "eigvec_1": _frobenius(w[0] + 1.0j * l1 * u[0]) / (_frobenius(u[0]) * n_omega),
-        "eigvec_2": _frobenius(w[2] + 1.0j * l2 * u[1]) / (_frobenius(u[1]) * n_omega),
-        "diagonalization": _frobenius(w @ q - omega_d)
-        / math.sqrt(2.0 * (l1 * l1 + l2 * l2)),
-        "ladder": _frobenius(q_inv @ q - _EYE) / 2.0,
+        "eigvec_1": _frobenius(w[0] + 1.0j * s1 * pe[0]) / (_frobenius(pe[0]) * n_a),
+        "eigvec_2": _frobenius(w[2] + 1.0j * s2 * pe[2]) / (_frobenius(pe[2]) * n_a),
+        "diagonalization": _frobenius(w @ pe_h - omega_d / scale)
+        / math.sqrt(2.0 * (s1 * s1 + s2 * s2)),
+        "ladder": _frobenius(pe @ pe_h - _EYE) / 2.0,
     }
     # a NaN residual ranks above every number, so it fails the check
     worst = residuals["max"] = max(residuals.values(), key=lambda r: (r != r, r))
     if not worst <= tol:
         raise SingularQ(f"identity residual {worst:.3e} exceeds {tol:.1e}")
-    return EigenSystem(
-        u1=u[0],
-        u2=u[1],
-        v1=q[:, 0],
-        v2=q[:, 2],
-        q=q,
-        q_inv=q_inv,
-        omega_d=omega_d,
-        sigma=sigma,
-        residuals=residuals,
-        used_fallback=(False, False),
-    )
+    sigma = np.diag([l1, l1, l2, l2])
+    u1, u2 = q_inv[0], q_inv[2]
+    v1, v2 = q[:, 0], q[:, 2]
+    return EigenSystem(u1, u2, v1, v2, q, q_inv, omega_d, sigma, residuals, (False, False))

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HomodyneUnsupported, NonPositiveParameter, SingularMeasurement
+from .errors import UnphysicalCovariance
 from .gaussian import CovarianceMatrix, is_pure, require_physical
 
 
@@ -138,8 +139,8 @@ def extractable_work(
     """Average extractable work for a Gaussian measurement on mode 2.
 
     Raises UnphysicalCovariance for a covariance matrix that fails the
-    uncertainty check, HomodyneUnsupported for mu = 0 and
-    SingularMeasurement if V2 + gamma cannot be inverted.
+    uncertainty check or whose det V1' rounds to <= 0, HomodyneUnsupported
+    for mu = 0 and SingularMeasurement if V2 + gamma cannot be inverted.
     """
     gamma = measurement_covariance(spec)  # checks spec before V
     m = np.asarray(v)
@@ -148,6 +149,8 @@ def extractable_work(
     (a00, a01, c00, c01), (a10, a11, c10, c11) = m[:2].tolist()
     det_before = a00 * a11 - a01 * a10
     det_after = k00 * k11 - k01 * k10
+    if not det_after > 0.0:  # the Schur step lost V's digits
+        raise UnphysicalCovariance(f"det V1' = {det_after:.6e} is not > 0")
     work = 0.5 * spec.kbt * float(np.log(det_before / det_after))
     s = 4.0 * (c01 * c10 - c00 * c11)  # -4 det C
     closed = 0.5 * spec.kbt * math.log1p(s) if is_pure(m) else None

@@ -30,6 +30,7 @@ raw_prefactor is used verbatim for display.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,28 +130,25 @@ class WignerGrid:
 def wigner_form(v: CovarianceMatrix | np.ndarray) -> WignerForm:
     """Exponent matrix M = 2 Omega^T V Omega of W from the covariance matrix.
 
-    det M below 1e-12 (relative to the diagonal scale) marks the form
-    degenerate.  A normalizable form needs a pure V: one that fails
-    is_pure raises ValueError (M is not its exponent), one that is not
-    finite or not physical UnphysicalCovariance.
+    A pure V (is_pure, det M = 16 det V = 1: a test no spread of V's
+    scales enters) gives a normalizable form; it must also be physical
+    (UnphysicalCovariance).  Otherwise det M below 1e-12 of the product
+    of M's diagonal marks the form degenerate, and any other V raises
+    ValueError (M is not its exponent); one that is not finite raises
+    UnphysicalCovariance.
     """
     mv = np.asarray(v)
     if not np.isfinite(mv).all():
         raise UnphysicalCovariance("V is not finite")
     m = 2.0 * (I_SIGMA_Y.T @ mv @ I_SIGMA_Y)
     det = float(np.linalg.det(m))
-    dscale = float(np.prod(np.diag(m))) or 1.0
     raw = 2.0 / np.pi
-    if det <= 1e-12 * abs(dscale):
+    if is_pure(mv):
+        require_physical(mv)
+        return WignerForm(m=m, norm=math.sqrt(det) / np.pi**2, raw_prefactor=raw, degenerate=False)
+    if det <= 1e-12 * abs(float(np.prod(np.diag(m))) or 1.0):
         return WignerForm(m=m, norm=raw, raw_prefactor=raw, degenerate=True)
-    if not is_pure(mv):
-        raise ValueError(
-            f"covariance matrix is not that of a pure state: 16 det V = {det!r}"
-        )
-    require_physical(mv)
-    return WignerForm(
-        m=m, norm=float(np.sqrt(det) / np.pi**2), raw_prefactor=raw, degenerate=False
-    )
+    raise ValueError(f"covariance matrix is not that of a pure state: 16 det V = {det!r}")
 
 
 def evaluate(wf: WignerForm, z) -> np.ndarray:

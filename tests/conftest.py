@@ -1,4 +1,7 @@
-"""Shared helpers: seeded sampling and the acceptance scoreboard."""
+"""Shared helpers: seeded sampling, probes, the Bopp-map route as an
+oracle and the acceptance scoreboard."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -90,6 +93,73 @@ def wide_probe(seed, lo, hi, n=3000):
             continue
         out.append(p)
     return out
+
+
+def extreme_grid():
+    """9,604 points: m1, m2, wt1, wt2 each in {1e-100, 1e-50, 1e-10, 1,
+    1e10, 1e50, 1e100}, with (theta, eta) in {(0.1, 0.4), (0.3, 0),
+    (0, 0.4), (1, 2.5)}; no filter."""
+    scales = [1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100]
+    pairs = [(0.1, 0.4), (0.3, 0.0), (0.0, 0.4), (1.0, 2.5)]
+    return [
+        PhysicalParams(m1, m2, wt1, wt2, theta, eta)
+        for m1, m2, wt1, wt2 in itertools.product(scales, repeat=4)
+        for theta, eta in pairs
+    ]
+
+
+# ------------------------------------------------ the Bopp-map route (oracle)
+
+
+def hm_invariants(cp):
+    """(b, c, delta) of lambda^4 - b lambda^2 + c from Hm's two invariants:
+    b = lambda1^2 + lambda2^2 = w1^2 + w2^2 + 8 nu1 nu2 and
+    c = lambda1^2 lambda2^2 = det Hm, the product of the determinants of
+    Hm's (x1, p2) and (p1, x2) blocks; delta = b^2 - 4c.  Elementwise.
+    Differences of large terms: this route loses digits that the factored
+    forms of ncho.symplectic.closed_forms keep."""
+    w1s = cp.w1 * cp.w1
+    w2s = cp.w2 * cp.w2
+    b = w1s + w2s + 8.0 * cp.nu1 * cp.nu2
+    c = (cp.mu1 * w1s / cp.mu2 - 4.0 * cp.nu2 * cp.nu2) * (
+        cp.mu2 * w2s / cp.mu1 - 4.0 * cp.nu1 * cp.nu1
+    )
+    return b, c, b * b - 4.0 * c
+
+
+def hm_frequencies(cp):
+    """(lambda1, lambda2) from hm_invariants, lambda2^2 as c / lambda1^2."""
+    b, c, delta = hm_invariants(cp)
+    lam1sq = 0.5 * (b + np.sqrt(delta))
+    return np.sqrt(lam1sq), np.sqrt(c / lam1sq)
+
+
+def hm_ground_state(cp, lambda1, lambda2):
+    """(lambda11, lambda22, y, d, denom) of the ground state from the
+    commutative parameters and the frequencies.  With
+    denom = mu2 (w2^2 + lambda1 lambda2) - 4 mu1 nu1^2 and
+    tau = 2 (lambda1 + lambda2):
+
+        lambda11 = mu1 mu2 tau lambda1 lambda2 / (4 denom)
+        lambda22 = mu2 tau (mu2 w2^2 - 4 mu1 nu1^2) / (4 denom)
+        y = 2 mu2 (4 mu1 nu1^2 nu2 - mu2 nu2 w2^2 + mu1 nu1 lambda1 lambda2)
+            / denom
+
+    Elementwise."""
+    w2s = cp.w2 * cp.w2
+    ll = lambda1 * lambda2
+    tau = 2.0 * (lambda1 + lambda2)
+    nu1s = cp.nu1 * cp.nu1
+    denom = cp.mu2 * (w2s + ll) - 4.0 * cp.mu1 * nu1s
+    l11 = cp.mu1 * cp.mu2 * tau * ll / (4.0 * denom)
+    l22 = cp.mu2 * tau * (cp.mu2 * w2s - 4.0 * cp.mu1 * nu1s) / (4.0 * denom)
+    y = (
+        2.0
+        * cp.mu2
+        * (4.0 * cp.mu1 * nu1s * cp.nu2 - cp.mu2 * cp.nu2 * w2s + cp.mu1 * cp.nu1 * ll)
+        / denom
+    )
+    return l11, l22, y, 4.0 * l11 * l22 + y * y, denom
 
 
 def beam_splitter(angle):

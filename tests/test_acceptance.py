@@ -42,7 +42,7 @@ from ncho import (
 )
 from ncho.wigner import evaluate
 
-from conftest import ACCEPTANCE_LINES, SEED, constraint_params, draw_params
+from conftest import ACCEPTANCE_LINES, SEED, constraint_params, draw_params, hm_invariants
 
 
 def criterion(num, label):
@@ -132,9 +132,11 @@ def test_criterion_03_spectrum_oracle():
         nu = cp.nu1
         assert sd.lambda1 == pytest.approx(cp.w1 + 2 * nu, rel=1e-12)
         assert sd.lambda2 == pytest.approx(cp.w1 - 2 * nu, rel=1e-12)
-        assert sd.b == pytest.approx(cp.w1**2 + cp.w2**2 + 8 * nu * nu, rel=1e-13)
+        b, c, _ = hm_invariants(cp)
+        assert b == pytest.approx(cp.w1**2 + cp.w2**2 + 8 * nu * nu, rel=1e-13)
+        assert b == pytest.approx(sd.lambda1**2 + sd.lambda2**2, rel=1e-12)
         b_text = cp.w1**2 + cp.w2**2 + 6 * cp.nu1 * cp.nu2
-        lam1_text = np.sqrt((b_text + np.sqrt(b_text**2 - 4 * sd.c)) / 2)
+        lam1_text = np.sqrt((b_text + np.sqrt(b_text**2 - 4 * c)) / 2)
         assert abs(lam1_text - sd.lambda1) > 1e-5 * sd.lambda1
 
 
@@ -143,7 +145,7 @@ def test_criterion_04_eigensystem_identities():
     rng = np.random.default_rng(SEED + 3)
     for p in draw_params(rng, 1_000):
         cp = to_commutative(p)
-        es = assemble_eigensystem(p, cp, spectral_data(cp))
+        es = assemble_eigensystem(p, spectral_data(cp))
         assert es.residuals["max"] < 1e-9
 
 

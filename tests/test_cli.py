@@ -137,15 +137,20 @@ EXTREME = ("1e-300", "1e-150", "1e150", "1e300")
 @pytest.mark.parametrize("w1", EXTREME)
 @pytest.mark.parametrize("m1", EXTREME)
 def test_extreme_finite_inputs_end_in_typed_errors(capsys, m1, w1):
-    """Finite inputs whose closed forms overflow float64 are degenerate
-    points: analyze exits 3 (it ended in ZeroDivisionError at 6 of these
-    16 points) and the scan marks the row (it ended in LinAlgError at 12).
-    A scan row is degenerate exactly where analyze at its point exits 3.
-    numpy warns of no overflow: stderr is the one error line."""
+    """Finite inputs at far-apart scales: analyze either answers, with
+    every identity residual within 1e-9, or exits 3 with one error line
+    naming a gate (all 16 exited 3 before the factored closed forms, which
+    answer 8; it ended in ZeroDivisionError at 6 of them earlier still,
+    and the scan in LinAlgError at 12).  A scan row is degenerate exactly
+    where analyze at its point exits 3, and nothing exits 4.  numpy warns
+    of no overflow: stderr is empty or the one error line."""
     base = ["--m1", m1, "--m2", "1.5", "--w1", w1, "--w2", "2", "--eta", "0.4"]
     code, out, err = run(capsys, ["analyze", *base, "--theta", "0.3"])
-    assert (code, out) == (3, "")
-    assert err.startswith("error:") and err.count("\n") == 1
+    if code == 0:
+        assert err == "" and json.loads(out)["residuals"]["max"] <= 1e-9
+    else:
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
     code, out, err = run(capsys, ["scan", *base, "--axis1", "theta=0:1:3"])
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -153,7 +158,7 @@ def test_extreme_finite_inputs_end_in_typed_errors(capsys, m1, w1):
     for theta, *_, degenerate in rows:
         exit_code = main(["analyze", *base, "--theta", theta])
         capsys.readouterr()
-        assert exit_code in (0, 3, 4)
+        assert exit_code in (0, 3)
         assert (exit_code == 3) == (degenerate == "true")
 
 
@@ -161,29 +166,80 @@ def test_extreme_finite_inputs_end_in_typed_errors(capsys, m1, w1):
 @pytest.mark.parametrize(
     "point",
     [
-        ("1e-44", "1e-99", "1e-78", "1e-74", "0.04"),  # L11 underflows to 0
-        ("1e-30", "1e130", "1e20", "1e18", "0"),  # L22 overflows to inf
+        ("1e-44", "1e-99", "1e-78", "1e-74", "0.04"),  # the Bopp-map route's L11 underflowed to 0
+        ("1e-30", "1e130", "1e20", "1e18", "0"),  # and this one's L22 overflowed to inf
     ],
 )
-def test_ground_state_out_of_float64_range_exits_4(capsys, tmp_path, point):
-    """Past the spectral gates the ground-state formulas can still under-
-    or overflow float64 at such scales; the covariance is then not finite
-    and analyze, szilard, scan and wigner agree on exit 4, with no numpy
-    warning (the scan used to flag the first point degenerate and end the
-    second in LinAlgError; wigner wrote files of NaN)."""
+def test_far_apart_scales_answer_everywhere(capsys, tmp_path, point):
+    """Points whose ground-state coefficients the Bopp-map route under-
+    or overflowed (V not finite, exit 4 in analyze, szilard, scan and
+    wigner): the factored closed forms keep every intermediate in float64,
+    so all four answer, with every identity residual within 1e-9 and no
+    numpy warning."""
     flags = [f"--{k}={v}" for k, v in zip(("m1", "m2", "w1", "w2", "theta"), point)]
     axis = f"--axis1=theta={point[4]}:{point[4]}:1"
     wigner = ["wigner", "--eta=0", f"--out={tmp_path / 'w'}"]
     commands = (["analyze", "--eta=0"], ["szilard", "--eta=0"], ["scan", "--eta=0", axis], wigner)
     for argv in commands:
         code, out, err = run(capsys, [*argv, *flags])
-        assert (code, out, err) == (4, "", "error: V is not finite\n")
+        assert code == 0, (argv, err)
+        if argv[0] == "analyze":
+            assert json.loads(out)["residuals"]["max"] <= 1e-9
+        if argv[0] == "scan":
+            assert out.splitlines()[1].endswith(",false")  # not degenerate
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.csv", "w.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_covariance_out_of_float64_range_exits_3(capsys, tmp_path):
+    """An extreme-grid point (tests/conftest.extreme_grid) whose spectrum
+    and exponent coefficients are float64 numbers but whose V is not
+    (<p1^2> = d / (4 L22) overflows): analyze, szilard and wigner exit 3
+    naming it, with no numpy warning, and the scan marks its row
+    degenerate."""
+    flags = ["--m1=1e100", "--m2=1e100", "--w1=1e10", "--w2=1e100", "--theta=0", "--eta=0.4"]
+    wigner = ["wigner", f"--out={tmp_path / 'w'}"]
+    for argv in (["analyze"], ["szilard"], wigner):
+        code, out, err = run(capsys, [*argv, *flags])
+        assert (code, out, err) == (3, "", "error: out of float64 range: <p1^2> = inf\n")
     assert not any(tmp_path.iterdir())
+    code, out, err = run(capsys, ["scan", *flags, "--axis1=eta=0.4:0.4:1"])
+    assert code == 0 and "degenerate=1" in err
+    assert out.splitlines()[1] == "0.4,,,false,true"
 
 
-# a pure ground state whose covariance has |V|_F ~ 1.6e6: rounding puts
-# the smallest Robertson-Schroedinger eigenvalue near -2.9e-10, which an
-# absolute tolerance of 1e-10 rejected
+def test_correlation_past_float64_resolution_exits_3(capsys, tmp_path):
+    """s = y^2 / (4 L11 L22) = 1.25e7 at theta = 1: the float64 V is pure
+    only to ~u (1 + s), so its purity, Wigner norm and det V1' cannot be
+    held to PURITY_TOL.  analyze, szilard and wigner exit 3 naming the
+    gate, and the scan marks the row degenerate; at theta = 0.1 (s =
+    1.25e5) all answer."""
+    flags = ["--m1=1", "--m2=1", "--w1=1", "--w2=1e8", "--eta=0"]
+    wigner = ["wigner", f"--out={tmp_path / 'w'}"]
+    for argv in (["analyze"], ["szilard"], wigner):
+        code, out, err = run(capsys, [*argv, *flags, "--theta=1"])
+        assert (code, out) == (3, ""), err
+        assert err.startswith("error: correlation past float64 resolution: s = 1.25"), err
+        assert run(capsys, [*argv, *flags, "--theta=0.1"])[0] == 0
+    code, out, err = run(capsys, ["scan", *flags, "--axis1=theta=0.1:1:2"])
+    assert code == 0 and "degenerate=1" in err
+    assert out.splitlines()[2] == "1.0,,,false,true"
+
+
+def test_product_state_is_separable_at_any_eps_sep(capsys):
+    """theta = eta = 0: V is diagonal and the margin exactly 0, so the
+    verdict is separable (on the boundary) however small eps_sep is."""
+    argv = ["analyze", "--m1=1", "--m2=1.5", "--w1=1", "--w2=2", "--theta=0", "--eta=0"]
+    code, out, err = run(capsys, [*argv, "--eps-sep=1e-16"])
+    assert (code, err) == (0, "")
+    sep = json.loads(out)["separability"]
+    assert (sep["margin"], sep["verdict"], sep["ppt_verdict"]) == (0.0, "separable", "separable")
+
+
+# a pure ground state whose covariance has |V|_F ~ 1.6e6: rounding put
+# the smallest Robertson-Schroedinger eigenvalue near -2.9e-10 on the
+# Bopp-map route (-3.3e-11 from the closed forms), which an absolute
+# tolerance of 1e-10 rejected
 LARGE_V_FLAGS = [
     "--m1", "0.4110636528635846", "--m2", "4882.7966867515115",
     "--w1", "0.009258397936562218", "--w2", "636.4555829540503",
@@ -218,7 +274,6 @@ EXIT_CODES = {
     "HomodyneUnsupported": 2,
     "DegenerateSpectrum": 3,
     "DegenerateGroundState": 3,
-    "EigenvectorResidualTooLarge": 4,
     "SingularQ": 4,
     "UnphysicalCovariance": 4,
     "SingularMeasurement": 4,

@@ -25,17 +25,15 @@ from ncho import (
     variance_products,
 )
 from ncho import gaussian
-from ncho.gaussian import exponent_coefficients
-from ncho.params import CommutativeParams
-from ncho.symplectic import (
-    biquadratic,
-    build_hamiltonian,
-    mode_collision,
-    squared_frequencies,
-    zero_mode,
-)
+from ncho.symplectic import build_hamiltonian, closed_forms, degenerate
 
-from conftest import constraint_params, draw_params, wide_probe
+from conftest import (
+    constraint_params,
+    draw_params,
+    hm_frequencies,
+    hm_ground_state,
+    wide_probe,
+)
 
 
 def solve_ground_state_independently(cp):
@@ -241,12 +239,15 @@ def test_unphysical_covariance_rejected():
 def test_physicality_bound_is_relative_to_the_size_of_v():
     """A pure V of norm ~1.6e6 passes although rounding leaves its smallest
     Robertson-Schroedinger eigenvalue near -2.9e-10; shifting its spectrum
-    down by 1e-8 |V|_F fails, alone and inside a stack."""
+    down by 1e-8 |V|_F fails, alone and inside a stack.  V is built by the
+    Bopp-map route (conftest), whose rounding puts the eigenvalue there;
+    closed_forms gives -3.3e-11 on the same point."""
     p = PhysicalParams(
         0.4110636528635846, 4882.7966867515115, 0.009258397936562218,
         636.4555829540503, 0.4956299009404123, 0.013220750904957662,
     )
-    vm = covariance(ground_state(to_commutative(p))).matrix
+    cp = to_commutative(p)
+    vm = gaussian.covariance_matrix(*hm_ground_state(cp, *hm_frequencies(cp))[:4])
     norm = np.linalg.norm(vm)
     assert norm > 1e6
     assert rs_min_eigenvalue(vm) < -1e-10
@@ -296,17 +297,18 @@ def test_require_physical_checks_each_stack(rs_calls):
 @pytest.mark.parametrize(
     "point",
     [
-        (1e-44, 1e-99, 1e-78, 1e-74, 0.04),  # L11 underflows to 0
-        (1e-30, 1e130, 1e20, 1e18, 0.0),  # L22 overflows to inf
+        (1e-100, 1e-100, 1e-100, 1e-50, 0.3, 0.0),  # d underflows: <p1^2> = 0
+        (1e100, 1e100, 1e10, 1e100, 0.0, 0.4),  # d overflows: <p1^2> = inf
     ],
 )
 def test_covariance_out_of_float64_range_raises(point):
-    """The two points of test_cli.py's exit-4 test: past the spectral
-    gates the closed-form V leaves float64, and covariance itself says so,
-    because it is the one check a closed-form V gets."""
-    gs = ground_state(to_commutative(PhysicalParams(*point, eta=0.0)))
-    with pytest.raises(UnphysicalCovariance, match=r"^V is not finite$"):
-        covariance(gs)
+    """Two extreme-grid points (conftest.extreme_grid) whose spectrum and
+    exponent coefficients are float64 numbers but whose V is not: the
+    spectral gates bound V's moments by covariance_matrix's own
+    operations, so the ground state is refused as a degenerate point
+    (exit 3) that names the moment, and no V leaves float64."""
+    with pytest.raises(DegenerateSpectrum, match=r"^out of float64 range: <p1\^2> = (0\.0|inf)$"):
+        covariance(ground_state(to_commutative(PhysicalParams(*point))))
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -372,37 +374,43 @@ def test_variance_product_is_half_iff_uncorrelated(rng):
 
 
 def test_exponent_denominator_is_a_positive_block_determinant_past_the_gates():
-    """Why ground_state needs no gate of its own.  Past the spectral gates
+    """The Bopp-map route of the ground state (conftest.hm_ground_state)
+    has a positive denominator past the gates, in exact arithmetic.  There
     Hm is positive definite, so q = mu2 w2^2 - 4 mu1 nu1^2 (mu1 times the
     determinant of its (p1, x2) block) is positive, and with it
-    denom = mu2 lambda1 lambda2 + q, lambda11 and lambda22.  Checked up
-    to rounding on 20,000 log-uniform points (masses and frequencies in
-    [1e-8, 1e8], theta and eta in [1e-4, 1e2]), half of them with
-    theta eta within a factor 2 of 4, where Hm turns singular."""
+    denom = mu2 lambda1 lambda2 + q.  Checked up to rounding on 20,000
+    log-uniform points (masses and frequencies in [1e-8, 1e8], theta and
+    eta in [1e-4, 1e2]), half of them with theta eta within a factor 2 of
+    4, where Hm turns singular, with lambda1 lambda2 from closed_forms.
+    In float64 both q and denom are differences of large terms: at about
+    a thousand of these points the rounding of denom exceeds its value,
+    which is why the coefficients come from closed_forms, positive by
+    construction."""
     rng = np.random.default_rng(3)
     lo = np.log([1e-8] * 4 + [1e-4] * 2)
     hi = np.log([1e8] * 4 + [1e2] * 2)
     m1, m2, wt1, wt2, theta, eta = np.exp(rng.uniform(lo, hi, size=(20000, 6))).T
     eta[::2] = 4.0 / theta[::2] * np.exp(rng.uniform(-0.7, 0.7, 10000))
-    with np.errstate(all="ignore"):
-        cp = to_commutative(PhysicalParams(m1, m2, wt1, wt2, theta, eta))
-        b, c, delta = biquadratic(cp)
-        lam1sq, lam2sq = squared_frequencies(b, c, delta)
-    ok = ~(mode_collision(b, delta) | zero_mode(b, lam1sq, lam2sq))
+    ok = ~degenerate(closed_forms(PhysicalParams(m1, m2, wt1, wt2, theta, eta)))
     assert ok[::2].sum() > 500 and ok[1::2].sum() > 500
-    cp = CommutativeParams(**{f: v[ok] for f, v in vars(cp).items()})
-    l1, l2 = np.sqrt(lam1sq[ok]), np.sqrt(lam2sq[ok])
-    l11, l22, _, _, denom = exponent_coefficients(cp, l1, l2)
+    p = PhysicalParams(m1[ok], m2[ok], wt1[ok], wt2[ok], theta[ok], eta[ok])
+    cp = to_commutative(p)
+    f = closed_forms(p)
+    l1, l2 = f.lambda1, f.lambda2
+    with np.errstate(all="ignore"):  # denom rounds to 0 at some points
+        denom = hm_ground_state(cp, l1, l2)[4]
     u = 2.0**-52
     w2s, nu1s = cp.w2 * cp.w2, cp.nu1 * cp.nu1
     q = cp.mu2 * w2s - 4.0 * cp.mu1 * nu1s
     assert (q >= -4 * u * (cp.mu2 * w2s + 4.0 * cp.mu1 * nu1s)).all()
     slack = 8 * u * (cp.mu2 * (w2s + l1 * l2) + 4.0 * cp.mu1 * nu1s)
     assert (denom - cp.mu2 * l1 * l2 >= -slack).all()
-    assert (denom > 0).all() and (l11 > 0).all() and (l22 > 0).all()
+    assert (f.l11 > 0).all() and (f.l22 > 0).all()
     for k in range(0, len(l1), len(l1) // 20):
-        hm = build_hamiltonian(CommutativeParams(**{f: v[k] for f, v in vars(cp).items()}))
-        assert cp.mu1[k] * np.linalg.det(hm[1:3, 1:3]) == pytest.approx(q[k], rel=1e-9)
+        hm = build_hamiltonian(to_commutative(PhysicalParams(*(float(v[k]) for v in p.__dict__.values()))))
+        # q's own rounding, 8 u times its terms, where it is a cancellation residue
+        slack = 8 * u * (cp.mu2[k] * w2s[k] + 4.0 * cp.mu1[k] * nu1s[k])
+        assert abs(cp.mu1[k] * np.linalg.det(hm[1:3, 1:3]) - q[k]) <= 1e-9 * abs(q[k]) + slack
 
 
 def test_energy_increases_with_deformation():

@@ -31,7 +31,16 @@ spectral.alpha0, ground_state.tau and ground_state.denom: the other
 values moved in their last digits only (scan margins by up to 5e-13
 relative; on the constraint surface, where y = 0 exactly, y went from
 1.9e-17 to 3.8e-17 and work_closed_form from 6.0e-35 to 2.4e-34), and
-the Wigner files came out byte-identical.  Each case is
+the Wigner files came out byte-identical.  Every file but the
+illustration was rewritten by the first commit after
+263395aec12b60605dcdb8add128061c50174ead, which reads the spectrum and
+ground state from the factored closed forms of the physical inputs and
+measures the residuals in the scaled frame: the keys spectral.b,
+spectral.c and spectral.delta went, the residuals moved below 5e-16,
+on the constraint surface y is now exactly 0 (and with it the
+covariance cross moments, det12, trace_term and work_closed_form), and
+every other value moved in its last digits (scan margins by up to
+2.4e-12 relative, the Wigner values by up to 1.4e-14).  Each case is
 regenerated here and compared byte for byte, so any change to a float's
 text, a separator or a blank line shows; a JSON file that differs
 fails with the keys whose values moved (describe_change) in place of a

@@ -12,10 +12,10 @@ Rescaling the lengths of mode i by a_i, (m_i, theta, eta) ->
 (m_i / a_i^2, a1 a2 theta, eta / (a1 a2)), and relabelling the modes,
 (m1, wt1) <-> (m2, wt2), leave the Hamiltonian's spectrum as it is and
 change the covariance matrix by a local symplectic map, so frequencies,
-verdict, margin and PPT eigenvalue stay put.  The spectrum's invariants
-b and c are written symmetrically in the two modes, but the closed forms
-for y and the eigenvectors are not, so the swap checks them against
-their mirror images.
+verdict, margin and PPT eigenvalue stay put.  The spectrum's sigma and
+delta are symmetric in the two modes, but the closed forms for L11, L22,
+y and the eigenvectors are not, so the swap checks them against their
+mirror images.
 """
 
 import dataclasses

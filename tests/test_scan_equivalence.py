@@ -161,7 +161,9 @@ def test_rows_are_a_lazy_read_only_sequence():
     """rows reads like the list of ScanRows that classify gives point by
     point, with Python floats, and cannot be changed."""
     base = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.0, 0.0)
-    axes = (AxisSpec("theta", 0.0, 3.0, 13), AxisSpec("eta", 0.0, 3.0, 11))
+    # eta up to 4 puts theta eta = 4 on the grid (theta = eta = 2 and
+    # theta = 2.5, eta = 1.6): the singular Bopp map, the one degeneracy
+    axes = (AxisSpec("theta", 0.0, 3.0, 13), AxisSpec("eta", 0.0, 4.0, 11))
     res = scan(base, *axes)
     eager = [classify_row(p, axes) for p in grid_points(base, axes)]
     rows = res.rows

@@ -86,7 +86,8 @@ def test_ppt_band_is_the_image_of_the_simon_band():
     """Just off the separable surface the margin (-5.9e-14) sits inside
     the Simon band eps_sep * rhs (1.25e-13) while ppt_min - 1/2 is
     -2.4e-7: on this pure family 1/2 - ppt_min ~ sqrt(-margin), so the
-    PPT band must be sqrt(eps_sep * rhs) for the two verdicts to agree."""
+    PPT band must be sqrt(eps_sep / 8), the image of eps_sep * rhs at
+    rhs ~ 1/8, for the two verdicts to agree."""
     p = PhysicalParams(
         m1=1.070639976601407,
         m2=0.7355063650452074,
@@ -106,10 +107,13 @@ def test_ppt_band_is_the_image_of_the_simon_band():
 
 
 def test_ppt_input_is_the_matrix_product_bit_for_bit(rng, monkeypatch):
-    """ppt_oracle hands eigvals I_SIGMA_Y F V F, F = diag(1, 1, 1, -1),
-    with every bit (signed zeros included) as the matrix products give it,
-    so ppt_min keeps its value.  The last point is one where Python's
-    abs of a complex eigenvalue differs from np.abs in the last bit."""
+    """ppt_oracle hands eigvals I_SIGMA_Y F B V B F, F = diag(1, 1, 1, -1)
+    and B = diag(2^k1, 2^-k1, 2^k2, 2^-k2) with k_i the binary exponent
+    of <p_i^2> less that of <x_i^2>, over 4 and truncated, with every bit
+    (signed zeros included) as the matrix products give it, so ppt_min
+    keeps its value.  B is not 1 at about a third of the draws.  The last
+    point is one where Python's abs of a complex eigenvalue differs from
+    np.abs in the last bit."""
     eigvals = np.linalg.eigvals
     seen = []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or eigvals(a))
@@ -117,10 +121,26 @@ def test_ppt_input_is_the_matrix_product_bit_for_bit(rng, monkeypatch):
     points = draw_params(rng, 500, theta=(0.0, 0.8), eta=(0.0, 0.8))
     for p in points + [PhysicalParams(1.0, 1e-100, 1e50, 1e50, 0.04, 0.0)]:
         v = cov_of(p).matrix
-        want = I_SIGMA_Y @ (flip @ v @ flip)
+        e = [np.frexp(x)[1] for x in np.diag(v)]
+        k1, k2 = int((e[1] - e[0]) / 4), int((e[3] - e[2]) / 4)
+        b = np.diag(np.ldexp(1.0, [k1, -k1, k2, -k2]))
+        want = I_SIGMA_Y @ (flip @ (b @ v @ b) @ flip)
         ppt_min = ppt_oracle(v)
         assert seen.pop().tobytes() == want.tobytes()
         assert ppt_min == float(np.min(np.abs(eigvals(want))))
+
+
+def test_ppt_of_a_product_state_at_far_apart_scales():
+    """A product state (s ~ 1e-18) whose V spans 1e-233..1e232: unbalanced,
+    eigvals read ppt_min = 2.7e-10 and called it entangled against a
+    separable Simon verdict; balanced, it reads 1/2 to 1e-9."""
+    p = PhysicalParams(
+        1.1912831858180698e-114, 1.2957056955717266e-88, 3.0816783263952996e-119,
+        1.535656598802613e146, 1.2750547756779876e78, 6.41233590614967e-123,
+    )
+    rep = classify(p)
+    assert rep.verdict == rep.ppt_verdict == "separable"
+    assert abs(rep.ppt_min - 0.5) <= 1e-9
 
 
 def test_simon_terms_of_one_matrix_equal_the_stack_path(rng):

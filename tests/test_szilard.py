@@ -135,7 +135,12 @@ def test_float_kernel_keeps_numpy_accuracy_on_dense_wide_states():
     cancellation than on the ground states.  The float route's relative
     error there stays within 3 times numpy_szilard's, at the 99th
     percentile and at the worst draw (an adjugate solve was ~20 times
-    worse on both)."""
+    worse on both).  Since the Bopp-map route's zero-mode band went, the
+    probe holds 2,692 draws, with s = y^2 / (4 L11 L22) up to
+    CORRELATION_MAX (4.4e3 on the 753 it held before): at 9 (float route)
+    and 10 (numpy) of the 24,228 (draw, measurement) pairs det V1' is lost
+    entirely, some to a negative value, which extractable_work refuses
+    (test_lost_conditional_determinant_raises)."""
     bs = beam_splitter(0.3)
     vms = np.array(
         [bs @ covariance(ground_state(to_commutative(p))).matrix @ bs.T for p in wide_probe(1, 1e-8, 1e8)]
@@ -144,11 +149,30 @@ def test_float_kernel_keeps_numpy_accuracy_on_dense_wide_states():
     for mu in (0.3, 1.0, 5.0):
         for angle in (0.0, 0.7, 2.0):
             spec = MeasurementSpec(mu=mu, angle=angle)
-            got += [extractable_work(vm, spec).det_after for vm in vms]
-            want += list(numpy_szilard(vms, spec)[2])
+            gamma = measurement_covariance(spec)
+            for vm in vms:
+                (k00, k01), (k10, k11) = conditional_covariance(vm, gamma).tolist()
+                got.append(k00 * k11 - k01 * k10)  # det_after of extractable_work
+            with np.errstate(divide="ignore", invalid="ignore"):  # a det V1' lost to rounding
+                want += list(numpy_szilard(vms, spec)[2])
     err_got, err_want = np.abs(np.array([got, want]) - 0.25) / 0.25
     for q in (0.99, 1.0):
         assert np.quantile(err_got, q) <= 3.0 * np.quantile(err_want, q)
+
+
+def test_lost_conditional_determinant_raises():
+    """A physical V whose det V1' rounds to <= 0 in the Schur step: the log
+    of det V1 / det V1' has no value, so extractable_work raises a typed
+    error instead of returning NaN.  The state is a beam-split ground
+    state of the seed-1 1e-8..1e8 wide probe, s = 6.3e4."""
+    p = PhysicalParams(
+        46519406.74421983, 1.0983094144662406e-05, 2308389.7609644732,
+        1.6378637216292325e-07, 48.71760834602795, 0.028465002831862863,
+    )
+    bs = beam_splitter(0.3)
+    vm = bs @ covariance(ground_state(to_commutative(p))).matrix @ bs.T
+    with pytest.raises(UnphysicalCovariance, match="det V1'"):
+        extractable_work(vm, MeasurementSpec(mu=0.3))
 
 
 def test_conditioning_no_correlation_is_identity_operation():

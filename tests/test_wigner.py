@@ -29,6 +29,7 @@ from ncho import (
     to_commutative,
     wigner_form,
 )
+from ncho.gaussian import covariance_matrix
 from ncho.wigner import evaluate
 
 from conftest import beam_splitter, draw_params, wide_probe
@@ -155,20 +156,35 @@ def test_wigner_form_rejects_covariance_that_is_not_finite():
 def test_wide_probe_gets_a_form_and_the_work_closed_form():
     """Seed-1 probe of tests/test_symplectic.py (masses and frequencies
     log-uniform in [1e-8, 1e8]): every ground state past the spectral
-    gates gets a normalizable WignerForm (a purity test |2 M V - 1| <= 1e-9,
-    which grows with the spread of V's scales, rejected 2 of the 753) and
-    a Szilard closed form that matches the log-det work at three
-    measurements.  The log-det route rounds to about 6 u absolute at a
-    rotated ellipse, hence 2e-15 (the closed form is within 0.6 u of a
-    50-digit value on this probe)."""
+    gates gets a normalizable WignerForm and a Szilard closed form that
+    matches the log-det work at three measurements.  The log-det route
+    rounds to about 6 u absolute at a rotated ellipse, hence 2e-15 (the
+    closed form is within 0.6 u of a 50-digit value on this probe).  The
+    gates pass 2,692 of the 3,000 draws (753 on the Bopp-map route); the
+    other 308 have s = y^2 / (4 L11 L22) past CORRELATION_MAX, where the
+    float64 V is pure only to ~u (1 + s)."""
     specs = [MeasurementSpec(mu, angle) for mu, angle in ((1, 0), (0.3, 1.1), (5, -2))]
-    for p in wide_probe(1, 1e-8, 1e8):
+    points = wide_probe(1, 1e-8, 1e8)
+    for p in points:
         vm = covariance(ground_state(to_commutative(p)))
         assert not wigner_form(vm).degenerate, p
         for spec in specs:
             res = extractable_work(vm, spec)
             want = pytest.approx(res.work, rel=1e-9, abs=2e-15)
             assert res.work_closed_form == want, (p, spec)
+    assert len(points) == 2692
+
+
+def test_strongly_correlated_pure_state_gets_a_normalizable_form():
+    """A pure V with s = y^2 / (4 L11 L22) = 2e6 (L11 = L22 = 1/2): the
+    product of M's diagonal is (1 + s)^2 = 4e12 times det M = 1, so a
+    degeneracy test against it, run first, called the form degenerate and
+    gave it the norm 2/pi.  Purity is tested first, and the norm is
+    1/pi^2."""
+    y = math.sqrt(2e6)
+    wf = wigner_form(covariance_matrix(0.5, 0.5, y, 1.0 + y * y))
+    assert not wf.degenerate
+    assert wf.norm == pytest.approx(1.0 / np.pi**2, rel=1e-9)
 
 
 def test_wigner_form_accepts_dense_pure_state():
