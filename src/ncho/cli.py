@@ -1,8 +1,9 @@
 """Command line interface: ncho analyze | scan | wigner | szilard.
 
 Exit codes: 0 success, otherwise the `exit_code` of the NchoError raised:
-2 invalid input or usage, 3 degenerate parameter point, 4 internal
-consistency failure (residuals, singular matrices).
+2 invalid input or usage (an --out path that cannot be written
+included), 3 degenerate parameter point, 4 internal consistency failure
+(residuals, singular matrices).
 All diagnostics go to stderr; stdout carries only the requested output
 and is byte-deterministic for fixed inputs.
 """
@@ -245,9 +246,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NchoError as e:
+    except (NchoError, OSError) as e:  # OSError: an --out path that cannot be written
         print(f"error: {e}", file=sys.stderr)
-        return e.exit_code
+        return getattr(e, "exit_code", 2)
 
 
 if __name__ == "__main__":

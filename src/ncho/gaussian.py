@@ -20,8 +20,8 @@ included), and at equal frequencies wt1 = wt2.  There the state is a
 product of two squeezed vacua.
 
 Covariances of (x1, p1, x2, p2) in this state are rational in the
-coefficients; the only nonzero cross moments are <x1 p2> and <p1 x2>,
-and every second moment involves d = 4 L11 L22 + y^2.
+coefficients (symplectic.moments); the only nonzero cross moments are
+<x1 p2> and <p1 x2>, and <p_i^2> = L_ii (1 + s), s = y^2 / (4 L11 L22).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .params import CommutativeParams
-from .symplectic import PURITY_TOL, SIGMA_Y, SpectralData, _frobenius, spectral_data
+from .symplectic import PURITY_TOL, SIGMA_Y, SpectralData, _frobenius, moments, spectral_data
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class GroundState:
     lambda11, lambda22 : real quadratic coefficients (> 0)
     lambda12_im        : y, the imaginary part of the cross coefficient
     a0_mod             : |A0| = (4 lambda11 lambda22 / pi^2)^(1/4)
-    d                  : 4 lambda11 lambda22 + y^2
     energy0            : ground energy sigma / 2 = (lambda1 + lambda2) / 2
     """
 
@@ -51,7 +50,6 @@ class GroundState:
     lambda22: float
     lambda12_im: float
     a0_mod: float
-    d: float
     energy0: float
 
 
@@ -79,7 +77,7 @@ def ground_state(cp: CommutativeParams, sd: SpectralData | None = None) -> Groun
     l11, l22 = float(f.l11), float(f.l22)
     # |A0| = (4 l11 l22 / pi^2)^(1/4), with no product that can overflow
     a0 = math.sqrt(2.0 / math.pi * math.sqrt(l11) * math.sqrt(l22))
-    return GroundState(l11, l22, float(f.y), a0, float(f.d), float(0.5 * f.sigma))
+    return GroundState(l11, l22, float(f.y), a0, float(0.5 * f.sigma))
 
 
 def psi0(gs: GroundState, x1, x2) -> np.ndarray:
@@ -97,40 +95,37 @@ def psi0(gs: GroundState, x1, x2) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def covariance_matrix(l11, l22, y, d) -> np.ndarray:
+def covariance_matrix(l11, l22, y) -> np.ndarray:
     """The 4x4 covariance of covariance(), stacked over leading axes when
-    the coefficients are arrays.
+    the coefficients are arrays; its entries are symplectic.moments.
 
     A moment that under- or overflows float64 comes out 0 or not finite
     (never ZeroDivisionError or a warning); the range gate of
     symplectic.gates refuses the points where one does, by the same
-    operations.
+    function.
     """
-    l11, l22 = np.float64(l11), np.float64(l22)
-    v = np.zeros(np.shape(l11) + (4, 4))
+    x1, p1, x2, p2, x1p2, p1x2 = moments(np.float64(l11), np.float64(l22), y)
+    v = np.zeros(np.shape(x1) + (4, 4))
     t = v.T  # t[j, i] is V_ij over any leading axes; V is symmetric
-    t[0, 0] = 1.0 / (4.0 * l11)
-    t[1, 1] = d / (4.0 * l22)
-    t[2, 2] = 1.0 / (4.0 * l22)
-    t[3, 3] = d / (4.0 * l11)
-    t[0, 3] = t[3, 0] = -y / (4.0 * l11)
-    t[1, 2] = t[2, 1] = -y / (4.0 * l22)
+    t[0, 0], t[1, 1], t[2, 2], t[3, 3] = x1, p1, x2, p2
+    t[0, 3] = t[3, 0] = x1p2
+    t[1, 2] = t[2, 1] = p1x2
     return v
 
 
 def covariance(gs: GroundState) -> CovarianceMatrix:
     """Second moments of (x1, p1, x2, p2) in the ground state.
 
-    <x1^2> = 1/(4 L11)          <p1^2> = d/(4 L22)
-    <x2^2> = 1/(4 L22)          <p2^2> = d/(4 L11)
+    <x1^2> = 1/(4 L11)          <p1^2> = L11 - y <p1 x2> = L11 (1 + s)
+    <x2^2> = 1/(4 L22)          <p2^2> = L22 - y <x1 p2> = L22 (1 + s)
     <x1 p2> = -y/(4 L11)        <p1 x2> = -y/(4 L22)
 
-    with all other cross moments zero.  Symmetrized ordering is implied;
-    first moments vanish.  The state is pure, so V is physical by
-    construction, and past the spectral gates every moment is a float64
-    number (symplectic.gates).
+    with s = y^2 / (4 L11 L22) and all other cross moments zero.
+    Symmetrized ordering is implied; first moments vanish.  The state is
+    pure, so V is physical by construction, and past the spectral gates
+    every moment is a float64 number (symplectic.gates).
     """
-    return CovarianceMatrix(covariance_matrix(gs.lambda11, gs.lambda22, gs.lambda12_im, gs.d))
+    return CovarianceMatrix(covariance_matrix(gs.lambda11, gs.lambda22, gs.lambda12_im))
 
 
 def rs_min_eigenvalue(v: CovarianceMatrix | np.ndarray):

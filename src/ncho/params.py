@@ -157,30 +157,24 @@ def to_commutative(p: PhysicalParams) -> CommutativeParams:
         1/mu2 = 1/m2 + m1 wt1^2 theta^2 / 4
         mu1 w1^2 = m1 wt1^2 + eta^2 / (4 m2)
         mu2 w2^2 = m2 wt2^2 + eta^2 / (4 m1)
-        nu1 = (eta + m1 m2 wt2^2 theta) / (4 m1)
-        nu2 = (eta + m1 m2 wt1^2 theta) / (4 m2)
+        nu1 = eta / (4 m1) + theta m2 wt2^2 / 4
+        nu2 = eta / (4 m2) + theta m1 wt1^2 / 4
 
-    At theta = eta = 0 this is the identity map.
+    At theta = eta = 0 this is the identity map.  With c1 = theta wt2
+    sqrt(m1 m2) / 2, mu1 = m1 / (1 + c1^2) and w1 = hypot(wt1, eta / (2
+    sqrt(m1 m2))) hypot(1, c1): no factor leaves float64 where mu1 or w1
+    does not (mode 2 likewise), nor one of the two terms of nu1 or nu2.
 
     The fields of p may be floats or float64 arrays of one shape (a
     batched scan); the result then holds arrays.
     """
     validate(p)
-    wt1s = p.wt1 * p.wt1
-    wt2s = p.wt2 * p.wt2
-    th2 = p.theta * p.theta
-    eta2 = p.eta * p.eta
-    inv_mu1 = 1.0 / p.m1 + p.m2 * wt2s * th2 / 4.0
-    inv_mu2 = 1.0 / p.m2 + p.m1 * wt1s * th2 / 4.0
-    mu1 = 1.0 / inv_mu1
-    mu2 = 1.0 / inv_mu2
-    k1 = p.m1 * wt1s + eta2 / (4.0 * p.m2)
-    k2 = p.m2 * wt2s + eta2 / (4.0 * p.m1)
-    # np.divide: where 1/mu overflowed, mu = 0 gives inf, not ZeroDivisionError;
-    # the closed forms never read these fields, so numpy need not warn
-    with np.errstate(all="ignore"):
-        w1 = np.sqrt(np.divide(k1, mu1))
-        w2 = np.sqrt(np.divide(k2, mu2))
-    nu1 = (p.eta + p.m1 * p.m2 * wt2s * p.theta) / (4.0 * p.m1)
-    nu2 = (p.eta + p.m1 * p.m2 * wt1s * p.theta) / (4.0 * p.m2)
-    return CommutativeParams(mu1, mu2, w1, w2, nu1, nu2, physical=p)
+    with np.errstate(all="ignore"):  # a field past float64 comes out 0 or inf
+        r12 = np.sqrt(p.m1) * np.sqrt(p.m2)
+        c1, c2 = 0.5 * p.theta * p.wt2 * r12, 0.5 * p.theta * p.wt1 * r12
+        h1, h2 = np.hypot(1.0, c1), np.hypot(1.0, c2)
+        k1, k2 = np.hypot(p.wt1, 0.5 * p.eta / r12), np.hypot(p.wt2, 0.5 * p.eta / r12)
+        nu1 = 0.25 * p.eta / p.m1 + 0.25 * (p.theta * p.wt2) * (p.m2 * p.wt2)
+        nu2 = 0.25 * p.eta / p.m2 + 0.25 * (p.theta * p.wt1) * (p.m1 * p.wt1)
+        w1, w2 = np.hypot(k1, k1 * c1), np.hypot(k2, k2 * c2)
+        return CommutativeParams(p.m1 / h1 / h1, p.m2 / h2 / h2, w1, w2, nu1, nu2, physical=p)

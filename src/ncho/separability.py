@@ -446,7 +446,7 @@ def _scan_columns(p: PhysicalParams, eps_sep: float) -> tuple:
     with np.errstate(all="ignore"):  # degenerate() rejects what overflowed
         f = closed_forms(p)
         ok = ~degenerate(f)
-    v = covariance_matrix(f.l11[ok], f.l22[ok], f.y[ok], f.d[ok])
+    v = covariance_matrix(f.l11[ok], f.l22[ok], f.y[ok])
     require_physical(v)
     _, rhs, margin_ok = simon_margin(*simon_terms(v))
     margin = np.full(ok.shape, np.nan)

@@ -61,10 +61,10 @@ LADDER_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
 
 # what closed_forms gives, each a float or an array of the inputs' shape:
 # A01, A23, A02, A13, h, k, sigma, delta, the two frequencies, the
-# ground-state coefficients l11, l22, y, d = 4 l11 l22 + y^2 and the
-# correlation s = y^2 / (4 l11 l22)
+# ground-state coefficients l11, l22 and y = 2 r sqrt(l11 l22), the signed
+# correlation r and s = r^2 = y^2 / (4 l11 l22)
 ClosedForms = namedtuple(
-    "ClosedForms", "a01 a23 a02 a13 h k sigma delta lambda1 lambda2 l11 l22 y d s"
+    "ClosedForms", "a01 a23 a02 a13 h k sigma delta lambda1 lambda2 l11 l22 y r s"
 )
 
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
@@ -89,34 +89,36 @@ def closed_forms(p: PhysicalParams) -> ClosedForms:
 
         sigma   = hypot((wt1 + wt2) h, rho |th - et|)
         delta   = hypot((wt1 - wt2) h, rho (th + et))
-        lambda1 = (sigma + delta) / 2,     lambda2 = (rho k)^2 / lambda1
-        l11     = 2 m1 wt1 sigma / ((wt1 + wt2)(4 + th^2)), l22 likewise
-        y       = 2 a1 a2 (et - th)(wt1 - wt2) / ((wt1 + wt2)(4 + th^2))
-        s       = y^2 / (4 l11 l22) = ((et - th)(wt1 - wt2) / (2 sigma))^2
+        lambda1 = (sigma + delta) / 2,     lambda2 = (rho k / lambda1) rho k
+        l11     = q1^2 = 2 m1 wt1 sigma / ((wt1 + wt2)(4 + th^2)), l22 likewise
+        q1      = (a1 / hypot(1, th / 2)) sqrt(sigma) / sqrt(2 (wt1 + wt2))
+        y       = 2 r q1 q2,  s = r^2,  r = (et - th)(wt1 - wt2) / (2 sigma)
 
     Past th - et and wt1 - wt2, the factors whose zeros are the separable
     surfaces, each is a product, quotient or hypot: a few ulps at any
-    scale.  Floats and float64 arrays of one shape go through the same
-    numpy calls, so a scan row equals its point bit for bit.  Nothing is
-    checked (spectral_data gates), and callers run it under np.errstate.
+    scale, with no factor past float64 where the value is not (rho th is
+    theta rho a1 a2, rho et is eta / (sqrt(m1) sqrt(m2))).  Floats and
+    float64 arrays of one shape go through the same numpy calls, so a scan
+    row equals its point bit for bit.  Nothing is checked (spectral_data
+    gates), and callers run it under np.errstate.
     """
     k = _bopp_defect(p.theta, p.eta)
     h = 2.0 - k
-    rho = np.sqrt(p.wt1) * np.sqrt(p.wt2)
-    a1a2 = np.sqrt(p.m1 * p.wt1) * np.sqrt(p.m2 * p.wt2)
-    th, et = p.theta * a1a2, p.eta / a1a2
+    r1, r2, v1, v2 = np.sqrt(p.m1), np.sqrt(p.m2), np.sqrt(p.wt1), np.sqrt(p.wt2)
+    rho, a1, a2 = v1 * v2, r1 * v1, r2 * v2
+    th = p.theta * (a1 * a2)
+    a02, a13 = rho * th, p.eta / (r1 * r2)
     wsum, wdif = p.wt1 + p.wt2, p.wt1 - p.wt2
-    sigma = np.hypot(wsum * h, rho * abs(th - et))
-    delta = np.hypot(wdif * h, rho * (th + et))
-    lam1 = 0.5 * (sigma + delta)
+    sigma = np.hypot(wsum * h, abs(a02 - a13))
+    delta = np.hypot(wdif * h, a02 + a13)
     rk = rho * k
-    den = wsum * (4.0 + th * th)
-    l11, l22 = 2.0 * p.m1 * p.wt1 * sigma / den, 2.0 * p.m2 * p.wt2 * sigma / den
-    y = 2.0 * a1a2 * (et - th) * wdif / den
-    r = (et - th) / sigma * (0.5 * wdif)
+    lam1 = 0.5 * sigma + 0.5 * delta
+    g = np.sqrt(sigma) / np.sqrt(2.0 * wsum) / np.hypot(1.0, 0.5 * th)
+    q1, q2 = a1 * g, a2 * g
+    r = (a13 - a02) / sigma * (0.5 * wdif / rho)
     return ClosedForms(
-        p.wt1 * h, p.wt2 * h, rho * th, rho * et, h, k, sigma, delta,
-        lam1, rk * rk / lam1, l11, l22, y, 4.0 * l11 * l22 + y * y, r * r,
+        p.wt1 * h, p.wt2 * h, a02, a13, h, k, sigma, delta,
+        lam1, rk / lam1 * rk, q1 * q1, q2 * q2, 2.0 * r * (q1 * q2), r, r * r,
     )
 
 
@@ -133,19 +135,27 @@ PURITY_TOL = 1e-9
 # at worst on 2,440 probe points with s >= 1e3), beyond PURITY_TOL / 2 past
 # this s: no stage that reads V (purity, the Wigner norm, det V1' = 1/4) holds
 CORRELATION_MAX = PURITY_TOL / (8.0 * 2.0**-52)
+MOMENTS = ("<x1^2>", "<p1^2>", "<x2^2>", "<p2^2>", "<x1 p2>", "<p1 x2>")
+
+
+def moments(l11, l22, y) -> tuple:
+    """V's six nonzero moments, named by MOMENTS, from the ground state's
+    coefficients (float64 scalars or arrays): <x_i^2> = 1/(4 L_ii),
+    <x1 p2> = -y/(4 L11), <p1 x2> = -y/(4 L22), <p1^2> = L11 - y <p1 x2>
+    = L11 (1 + s) and <p2^2> = L22 - y <x1 p2>: a quotient, or a sum of
+    two terms no larger than it, so none leaves float64 where it does not."""
+    x1p2, p1x2 = -0.25 * y / l11, -0.25 * y / l22
+    return 0.25 / l11, l11 - y * p1x2, 0.25 / l22, l22 - y * x1p2, x1p2, p1x2
 
 
 def _ranged(f: ClosedForms) -> list:
     """(name, value, inside) of what must be a float64 number: the
-    frequencies and the moments of V by gaussian.covariance_matrix's own
-    operations, so V is one past the gates.  inside is elementwise: finite,
-    and > 0 but for the cross moments; NaN fails."""
-    q11, q22 = 4.0 * f.l11, 4.0 * f.l22
-    pos = (("lambda1", f.lambda1), ("lambda2", f.lambda2), ("<x1^2>", 1.0 / q11),
-           ("<p1^2>", f.d / q22), ("<x2^2>", 1.0 / q22), ("<p2^2>", f.d / q11))
-    out = [(n, v, (v > 0.0) & (v < np.inf)) for n, v in pos]
-    cross = (("<x1 p2>", -f.y / q11), ("<p1 x2>", -f.y / q22))
-    return out + [(n, v, abs(v) < np.inf) for n, v in cross]
+    frequencies and V's moments, by the function covariance_matrix reads,
+    so V is one past the gates.  inside is elementwise: finite, and > 0
+    but for the cross moments; NaN fails."""
+    values = (f.lambda1, f.lambda2) + moments(f.l11, f.l22, f.y)
+    return [(n, v, abs(v) < np.inf if n in MOMENTS[4:] else (v > 0.0) & (v < np.inf))
+            for n, v in zip(("lambda1", "lambda2") + MOMENTS, values)]
 
 
 def gates(f: ClosedForms) -> tuple:

@@ -3,10 +3,12 @@ oracle and the acceptance scoreboard."""
 
 import itertools
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from ncho import DegenerateSpectrum, PhysicalParams, spectral_data, to_commutative
+from ncho.symplectic import MOMENTS
 
 SEED = 20240911
 
@@ -105,6 +107,39 @@ def extreme_grid():
         PhysicalParams(m1, m2, wt1, wt2, theta, eta)
         for m1, m2, wt1, wt2 in itertools.product(scales, repeat=4)
         for theta, eta in pairs
+    ]
+
+
+def sixty_digit_state(p):
+    """{name: value} of lambda1, lambda2 and V's six moments (named as in
+    symplectic.MOMENTS) at 60 digits, from the factored forms in exact
+    arithmetic: mpmath has no exponent range, and these forms cancel
+    nowhere, where the unfactored chain loses every digit at far-apart
+    scales.  The moments take the d form, d = 4 L11 L22 + y^2:
+    <p1^2> = d / (4 L22) and <p2^2> = d / (4 L11)."""
+    with mp.workdps(60):
+        m1, m2, wt1, wt2, theta, eta = map(mp.mpf, (p.m1, p.m2, p.wt1, p.wt2, p.theta, p.eta))
+        h, rho2, a1a2 = 1 + theta * eta / 4, wt1 * wt2, mp.sqrt(m1 * wt1 * m2 * wt2)
+        th, et = theta * a1a2, eta / a1a2
+        sigma = mp.sqrt(((wt1 + wt2) * h) ** 2 + rho2 * (th - et) ** 2)
+        delta = mp.sqrt(((wt1 - wt2) * h) ** 2 + rho2 * (th + et) ** 2)
+        lam1 = (sigma + delta) / 2
+        den = (wt1 + wt2) * (4 + th * th)
+        l11, l22 = 2 * m1 * wt1 * sigma / den, 2 * m2 * wt2 * sigma / den
+        y = 2 * a1a2 * (et - th) * (wt1 - wt2) / den
+        d = 4 * l11 * l22 + y * y
+        values = (1 / (4 * l11), d / (4 * l22), 1 / (4 * l22), d / (4 * l11), -y / (4 * l11), -y / (4 * l22))
+        return {"lambda1": lam1, "lambda2": rho2 * (1 - theta * eta / 4) ** 2 / lam1, **dict(zip(MOMENTS, values))}
+
+
+def outside_float64(p):
+    """The names in sixty_digit_state(p) whose value is not a float64
+    number: past the largest double, or for a frequency or a variance,
+    small enough to round to 0."""
+    top, zero = mp.mpf(np.finfo(float).max), mp.mpf(2) ** -1075
+    return [
+        name for name, v in sixty_digit_state(p).items()
+        if abs(v) > top or (name not in MOMENTS[4:] and v <= zero)
     ]
 
 

@@ -11,6 +11,8 @@ import ncho
 from ncho import cli
 from ncho.cli import main
 
+from conftest import outside_float64, sixty_digit_state
+
 BASE_FLAGS = [
     "--m1", "1.0", "--m2", "1.5", "--w1", "1.0", "--w2", "2.0",
     "--theta", "0.1", "--eta", "0.4",
@@ -192,20 +194,41 @@ def test_far_apart_scales_answer_everywhere(capsys, tmp_path, point):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_covariance_out_of_float64_range_exits_3(capsys, tmp_path):
-    """An extreme-grid point (tests/conftest.extreme_grid) whose spectrum
-    and exponent coefficients are float64 numbers but whose V is not
-    (<p1^2> = d / (4 L22) overflows): analyze, szilard and wigner exit 3
-    naming it, with no numpy warning, and the scan marks its row
+    """A point whose frequencies are float64 numbers but whose <x1^2> =
+    1/(2 m1 wt1) ~ 5e319 is not, at 60 digits: analyze, szilard and wigner
+    exit 3 naming it, with no numpy warning, and the scan marks its row
     degenerate."""
-    flags = ["--m1=1e100", "--m2=1e100", "--w1=1e10", "--w2=1e100", "--theta=0", "--eta=0.4"]
+    flags = ["--m1=1e-160", "--m2=1", "--w1=1e-160", "--w2=1", "--theta=0", "--eta=0"]
+    assert outside_float64(ncho.PhysicalParams(1e-160, 1.0, 1e-160, 1.0, 0.0, 0.0)) == ["<x1^2>"]
     wigner = ["wigner", f"--out={tmp_path / 'w'}"]
     for argv in (["analyze"], ["szilard"], wigner):
         code, out, err = run(capsys, [*argv, *flags])
-        assert (code, out, err) == (3, "", "error: out of float64 range: <p1^2> = inf\n")
+        assert (code, out, err) == (3, "", "error: out of float64 range: <x1^2> = inf\n")
     assert not any(tmp_path.iterdir())
     code, out, err = run(capsys, ["scan", *flags, "--axis1=eta=0.4:0.4:1"])
     assert code == 0 and "degenerate=1" in err
     assert out.splitlines()[1] == "0.4,,,false,true"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_apart_ground_state_keeps_its_coefficients(capsys, tmp_path):
+    """L11 = 1e-74 and L22 = 1e76, each a float64 number: the factored
+    L22 = 2 m2 wt2 sigma / ((wt1 + wt2)(4 + th^2)) formed m2 wt2 sigma ~
+    1e324 here, and the point exited 3 with <p1^2> = nan.  Formed through
+    sqrt(L22), analyze, szilard and wigner answer, with L11 and L22 within
+    8 u of 60 digits."""
+    flags = ["--m1=1e-100", "--m2=1e50", "--w1=1e100", "--w2=1e100", "--theta=0.1", "--eta=0.4"]
+    state = sixty_digit_state(ncho.PhysicalParams(1e-100, 1e50, 1e100, 1e100, 0.1, 0.4))
+    l11, l22 = (1 / (4 * state[moment]) for moment in ("<x1^2>", "<x2^2>"))
+    assert abs(l11 / 1e-74 - 1) <= 8 * 2.0**-52 and abs(l22 / 1e76 - 1) <= 8 * 2.0**-52
+    wigner = ["wigner", f"--out={tmp_path / 'w'}"]
+    for argv in (["analyze"], ["szilard"], wigner):
+        code, out, err = run(capsys, [*argv, *flags])
+        assert code == 0, (argv, err)
+        if argv == ["analyze"]:
+            gs = json.loads(out)["ground_state"]
+            assert abs(gs["lambda11"] - l11) <= 8 * 2.0**-52 * l11
+            assert abs(gs["lambda22"] - l22) <= 8 * 2.0**-52 * l22
 
 
 def test_correlation_past_float64_resolution_exits_3(capsys, tmp_path):
@@ -525,6 +548,22 @@ def test_wigner_bad_grid_exits_2_and_writes_nothing(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", *BASE_FLAGS, "--axis1=eta=0.2:0.6:3"],
+        ["wigner", "--illustration"],
+    ],
+)
+def test_unwritable_out_exits_2_and_writes_nothing(capsys, tmp_path, argv):
+    """An --out path in a directory that does not exist: exit 2, one
+    error line on stderr, nothing on stdout and no file left."""
+    code, out, err = run(capsys, [*argv, "--out", str(tmp_path / "missing" / "x.csv")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -32,6 +32,7 @@ from conftest import (
     draw_params,
     hm_frequencies,
     hm_ground_state,
+    outside_float64,
     wide_probe,
 )
 
@@ -203,11 +204,12 @@ def test_covariance_structure_and_physicality(rng):
         # zero pattern of the family
         for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
             assert vm[i, j] == 0.0
-        # entries against the coefficients
+        # entries against the coefficients, d = 4 L11 L22 + y^2
+        d = 4 * gs.lambda11 * gs.lambda22 + gs.lambda12_im**2
         assert vm[0, 0] == pytest.approx(1 / (4 * gs.lambda11), rel=1e-14)
-        assert vm[1, 1] == pytest.approx(gs.d / (4 * gs.lambda22), rel=1e-14)
+        assert vm[1, 1] == pytest.approx(d / (4 * gs.lambda22), rel=1e-14)
         assert vm[2, 2] == pytest.approx(1 / (4 * gs.lambda22), rel=1e-14)
-        assert vm[3, 3] == pytest.approx(gs.d / (4 * gs.lambda11), rel=1e-14)
+        assert vm[3, 3] == pytest.approx(d / (4 * gs.lambda11), rel=1e-14)
         assert vm[0, 3] == pytest.approx(-gs.lambda12_im / (4 * gs.lambda11), rel=1e-14)
         assert vm[1, 2] == pytest.approx(-gs.lambda12_im / (4 * gs.lambda22), rel=1e-14)
         assert rs_min_eigenvalue(vm) > -1e-10
@@ -247,7 +249,7 @@ def test_physicality_bound_is_relative_to_the_size_of_v():
         636.4555829540503, 0.4956299009404123, 0.013220750904957662,
     )
     cp = to_commutative(p)
-    vm = gaussian.covariance_matrix(*hm_ground_state(cp, *hm_frequencies(cp))[:4])
+    vm = gaussian.covariance_matrix(*hm_ground_state(cp, *hm_frequencies(cp))[:3])
     norm = np.linalg.norm(vm)
     assert norm > 1e6
     assert rs_min_eigenvalue(vm) < -1e-10
@@ -297,18 +299,20 @@ def test_require_physical_checks_each_stack(rs_calls):
 @pytest.mark.parametrize(
     "point",
     [
-        (1e-100, 1e-100, 1e-100, 1e-50, 0.3, 0.0),  # d underflows: <p1^2> = 0
-        (1e100, 1e100, 1e10, 1e100, 0.0, 0.4),  # d overflows: <p1^2> = inf
+        (1e-160, 1.0, 1e-160, 1.0, 0.0, 0.0),  # <x1^2> = 1/(2 m1 wt1) ~ 5e319: inf
+        (1e163, 1.0, 1e163, 1.0, 0.0, 0.0),  # <x1^2> ~ 5e-327 rounds to 0
     ],
 )
 def test_covariance_out_of_float64_range_raises(point):
-    """Two extreme-grid points (conftest.extreme_grid) whose spectrum and
-    exponent coefficients are float64 numbers but whose V is not: the
-    spectral gates bound V's moments by covariance_matrix's own
-    operations, so the ground state is refused as a degenerate point
-    (exit 3) that names the moment, and no V leaves float64."""
-    with pytest.raises(DegenerateSpectrum, match=r"^out of float64 range: <p1\^2> = (0\.0|inf)$"):
-        covariance(ground_state(to_commutative(PhysicalParams(*point))))
+    """Two points whose frequencies are float64 numbers but whose <x1^2> is
+    not, at 60 digits (conftest.outside_float64): the spectral gates bound
+    V's moments by covariance_matrix's own function, so the ground state is
+    refused as a degenerate point (exit 3) that names the moment, and no V
+    leaves float64."""
+    p = PhysicalParams(*point)
+    assert outside_float64(p)[:1] == ["<x1^2>"]  # the first, as the gate reads them
+    with pytest.raises(DegenerateSpectrum, match=r"^out of float64 range: <x1\^2> = (inf|0\.0)$"):
+        covariance(ground_state(to_commutative(p)))
 
 
 def log_uniform(lo_exp, hi_exp):

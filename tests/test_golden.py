@@ -40,7 +40,13 @@ spectral.c and spectral.delta went, the residuals moved below 5e-16,
 on the constraint surface y is now exactly 0 (and with it the
 covariance cross moments, det12, trace_term and work_closed_form), and
 every other value moved in its last digits (scan margins by up to
-2.4e-12 relative, the Wigner values by up to 1.4e-14).  Each case is
+2.4e-12 relative, the Wigner values by up to 1.4e-14).  Every file but
+the illustration and szilard_constraint was rewritten again by the first
+commit after 1a32eb606109305e587c5ab3bfba28e6cfaacef4, which forms V's
+moments from overflow-free closed forms and the Bopp coefficients from
+hypots: the key ground_state.d went, the residuals came out unchanged and
+every other value moved by at most 1.4e-14 relative (scan margins and
+the Wigner grids; the analyze and szilard values by at most 7.5e-16).  Each case is
 regenerated here and compared byte for byte, so any change to a float's
 text, a separator or a blank line shows; a JSON file that differs
 fails with the keys whose values moved (describe_change) in place of a

@@ -258,10 +258,12 @@ def heterodyne_work(gs):
 
         W = -(1/2) ln[ (1 - y^2/(d + 2 L11)) (1 - y^2/(d (1 + 2 L22))) ]
 
+    with d = 4 L11 L22 + y^2.
     At mu = 1, V2 + gamma = diag(1/(4 L22) + 1/2, d/(4 L11) + 1/2), and C
     holds only <x1 p2> and <p1 x2>, so V1' is diagonal and
     det V1 / det V1' is the inverse of the product of the brackets."""
-    l11, l22, y, d = gs.lambda11, gs.lambda22, gs.lambda12_im, gs.d
+    l11, l22, y = gs.lambda11, gs.lambda22, gs.lambda12_im
+    d = 4.0 * l11 * l22 + y * y
     return -0.5 * np.log(
         (1.0 - y * y / (d + 2.0 * l11)) * (1.0 - y * y / (d * (1.0 + 2.0 * l22)))
     )

@@ -182,7 +182,7 @@ def test_strongly_correlated_pure_state_gets_a_normalizable_form():
     gave it the norm 2/pi.  Purity is tested first, and the norm is
     1/pi^2."""
     y = math.sqrt(2e6)
-    wf = wigner_form(covariance_matrix(0.5, 0.5, y, 1.0 + y * y))
+    wf = wigner_form(covariance_matrix(0.5, 0.5, y))
     assert not wf.degenerate
     assert wf.norm == pytest.approx(1.0 / np.pi**2, rel=1e-9)
 
