@@ -23,30 +23,29 @@ from ncho import (
 
 p = PhysicalParams(m1=1.0, m2=1.5, wt1=1.0, wt2=2.0, theta=0.1, eta=0.4)
 cp = to_commutative(p)
-sd = spectral_data(cp)
-f = sd.forms
+f = spectral_data(cp)
 
 print("closed-form mode frequencies")
 print(f"  sigma   = {float(f.sigma)!r}   (lambda1 + lambda2)")
 print(f"  delta   = {float(f.delta)!r}   (lambda1 - lambda2)")
-print(f"  lambda1 = {sd.lambda1!r}")
-print(f"  lambda2 = {sd.lambda2!r}")
+print(f"  lambda1 = {float(f.lambda1)!r}")
+print(f"  lambda2 = {float(f.lambda2)!r}")
 
 ev = np.linalg.eigvals(build_omega(build_hamiltonian(cp)))
 print("\ndense eigensolver on the motion generator Omega = i Sigma_y H")
 print("  eigenvalues:", np.sort_complex(ev))
 lam_num = np.sort(ev.imag)[2:]
-print(f"  |lambda1 - closed form| = {abs(lam_num[1] - sd.lambda1):.3e}")
-print(f"  |lambda2 - closed form| = {abs(lam_num[0] - sd.lambda2):.3e}")
+print(f"  |lambda1 - closed form| = {abs(lam_num[1] - f.lambda1):.3e}")
+print(f"  |lambda2 - closed form| = {abs(lam_num[0] - f.lambda2):.3e}")
 
 w1s, w2s = cp.w1**2, cp.w2**2
 print("\ninvariants of H")
 print(f"  b = w1^2 + w2^2 + 8 nu1 nu2 = {float(w1s + w2s + 8 * cp.nu1 * cp.nu2)!r}"
-      f"   (lambda1^2 + lambda2^2 = {sd.lambda1**2 + sd.lambda2**2!r})")
+      f"   (lambda1^2 + lambda2^2 = {float(f.lambda1**2 + f.lambda2**2)!r})")
 print(f"  c = det H = {float(np.linalg.det(build_hamiltonian(cp)))!r}"
-      f"   ((lambda1 lambda2)^2 = {(sd.lambda1 * sd.lambda2) ** 2!r})")
+      f"   ((lambda1 lambda2)^2 = {float((f.lambda1 * f.lambda2) ** 2)!r})")
 
-es = assemble_eigensystem(p, sd)
+es = assemble_eigensystem(p, f)
 print("\neigensystem identity residuals, in the scaled frame (eigenvectors, diagonalization, ladder)")
 for key, value in es.residuals.items():
     print(f"  {key:16s} {value:.3e}")

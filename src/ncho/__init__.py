@@ -6,7 +6,7 @@ the position-position deformation theta and the momentum-momentum
 deformation eta):
 
     PhysicalParams --to_commutative--> CommutativeParams
-                   --spectral_data--> normal-mode frequencies
+                   --spectral_data--> gated closed forms (frequencies, L11, L22, y)
                    --assemble_eigensystem--> verified mode transformation
                    --ground_state--> Gaussian exponent coefficients
                    --covariance--> 4x4 covariance matrix
@@ -67,7 +67,6 @@ from .separability import (
 )
 from .symplectic import (
     EigenSystem,
-    SpectralData,
     assemble_eigensystem,
     build_hamiltonian,
     build_omega,
@@ -111,7 +110,6 @@ __all__ = [
     "effective_planck",
     "bopp_matrix",
     "to_commutative",
-    "SpectralData",
     "EigenSystem",
     "build_hamiltonian",
     "build_omega",

@@ -180,7 +180,7 @@ def cmd_szilard(args) -> int:
     obj = {
         "version": __version__,
         "inputs": inputs_obj(p),
-        "measurement": {"mu": res.mu, "angle": res.angle, "kbt": res.kbt},
+        "measurement": {"mu": spec.mu, "angle": spec.angle, "kbt": spec.kbt},
         "det_before": res.det_before,
         "det_after": res.det_after,
         "work": res.work,

@@ -37,11 +37,11 @@ class NegativeDeformation(NchoError):
 class DegenerateSpectrum(NchoError):
     """A degenerate point, one of four gates (symplectic.gates): the Bopp
     map is singular (theta eta = 4, |k|/h below SINGULAR_TOL, lambda2 = 0),
-    a frequency, a moment of V or an eigenvector row leaves float64, the
-    normal modes collide (delta/sigma below COLLISION_TOL, the basis is
-    not unique), or the correlation s passes CORRELATION_MAX, where the
-    float64 V no longer resolves its purity.  The message names the gate
-    and its value."""
+    a frequency, a moment of V, an eigenvector row or the Szilard work
+    leaves float64, the normal modes collide (delta/sigma below
+    COLLISION_TOL, the basis is not unique), or the correlation s passes
+    CORRELATION_MAX, where the float64 V no longer resolves its purity.
+    The message names the gate and its value."""
 
     exit_code = 3
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .params import CommutativeParams
-from .symplectic import PURITY_TOL, SIGMA_Y, SpectralData, _frobenius, moments, spectral_data
+from .symplectic import PURITY_TOL, SIGMA_Y, ClosedForms, _frobenius, moments, spectral_data
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,14 @@ class CovarianceMatrix:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
-def ground_state(cp: CommutativeParams, sd: SpectralData | None = None) -> GroundState:
-    """Exponent coefficients of psi0, read from the closed forms of sd
+def ground_state(cp: CommutativeParams, f: ClosedForms | None = None) -> GroundState:
+    """Exponent coefficients of psi0, read from the closed forms f
     (default spectral_data(cp), cp = to_commutative(p)); they solve the
     stationary Schroedinger equation with energy sigma / 2 (checked in
     tests/test_gaussian.py).  Raises only what spectral_data raises.
     """
-    f = (sd or spectral_data(cp)).forms
+    if f is None:
+        f = spectral_data(cp)
     l11, l22 = float(f.l11), float(f.l22)
     # |A0| = (4 l11 l22 / pi^2)^(1/4), with no product that can overflow
     a0 = math.sqrt(2.0 / math.pi * math.sqrt(l11) * math.sqrt(l22))
@@ -197,8 +198,9 @@ def variance_products(gs: GroundState) -> tuple:
     return (q, q)
 
 
-def energy(sd: SpectralData, n1: int = 0, n2: int = 0) -> float:
-    """Spectrum E(n1, n2) = (n1 + 1/2) lambda1 + (n2 + 1/2) lambda2."""
+def energy(f: ClosedForms, n1: int = 0, n2: int = 0) -> float:
+    """Spectrum E(n1, n2) = (n1 + 1/2) lambda1 + (n2 + 1/2) lambda2 of
+    f = spectral_data(cp)."""
     if n1 < 0 or n2 < 0:
         raise ValueError(f"quantum numbers must be >= 0, got ({n1}, {n2})")
-    return float((n1 + 0.5) * sd.lambda1 + (n2 + 0.5) * sd.lambda2)
+    return float((n1 + 0.5) * f.lambda1 + (n2 + 0.5) * f.lambda2)

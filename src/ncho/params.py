@@ -164,17 +164,15 @@ def to_commutative(p: PhysicalParams) -> CommutativeParams:
     sqrt(m1 m2) / 2, mu1 = m1 / (1 + c1^2) and w1 = hypot(wt1, eta / (2
     sqrt(m1 m2))) hypot(1, c1): no factor leaves float64 where mu1 or w1
     does not (mode 2 likewise), nor one of the two terms of nu1 or nu2.
-
-    The fields of p may be floats or float64 arrays of one shape (a
-    batched scan); the result then holds arrays.
+    The fields of p are floats: the six hypots run as two numpy calls on
+    stacked pairs.
     """
     validate(p)
     with np.errstate(all="ignore"):  # a field past float64 comes out 0 or inf
         r12 = np.sqrt(p.m1) * np.sqrt(p.m2)
-        c1, c2 = 0.5 * p.theta * p.wt2 * r12, 0.5 * p.theta * p.wt1 * r12
-        h1, h2 = np.hypot(1.0, c1), np.hypot(1.0, c2)
-        k1, k2 = np.hypot(p.wt1, 0.5 * p.eta / r12), np.hypot(p.wt2, 0.5 * p.eta / r12)
+        c1, c2, e = 0.5 * p.theta * p.wt2 * r12, 0.5 * p.theta * p.wt1 * r12, 0.5 * p.eta / r12
+        h1, h2, k1, k2 = np.hypot((1.0, 1.0, p.wt1, p.wt2), (c1, c2, e, e))
         nu1 = 0.25 * p.eta / p.m1 + 0.25 * (p.theta * p.wt2) * (p.m2 * p.wt2)
         nu2 = 0.25 * p.eta / p.m2 + 0.25 * (p.theta * p.wt1) * (p.m1 * p.wt1)
-        w1, w2 = np.hypot(k1, k1 * c1), np.hypot(k2, k2 * c2)
+        w1, w2 = np.hypot((k1, k2), (k1 * c1, k2 * c2))
         return CommutativeParams(p.m1 / h1 / h1, p.m2 / h2 / h2, w1, w2, nu1, nu2, physical=p)

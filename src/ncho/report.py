@@ -20,7 +20,7 @@ from .params import (
     validate,
 )
 from .separability import SeparabilityReport, _reason, _simon_report, inputs_obj, json_text
-from .symplectic import EigenSystem, SpectralData, assemble_eigensystem, spectral_data
+from .symplectic import ClosedForms, EigenSystem, assemble_eigensystem, spectral_data
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class AnalysisReport:
     params: PhysicalParams
     hbar_e: float
     commutative: CommutativeParams
-    spectral: SpectralData
+    spectral: ClosedForms
     eigensystem: EigenSystem
     ground: GroundState
     cov: CovarianceMatrix
@@ -41,9 +41,9 @@ class AnalysisReport:
     def json_obj(self) -> dict:
         """Report as a JSON-ready dict with fixed field order.
 
-        The commutative, spectral, ground_state and separability blocks
-        are the fields of their records that repr shows, in declaration
-        order.
+        The commutative, ground_state and separability blocks are the
+        fields of their records that repr shows, in declaration order;
+        the spectral block is the two frequencies.
         """
         return {
             "version": __version__,
@@ -55,7 +55,10 @@ class AnalysisReport:
             "inputs": inputs_obj(self.params),
             "effective_planck": self.hbar_e,
             "commutative": _fields_obj(self.commutative),
-            "spectral": _fields_obj(self.spectral),
+            "spectral": {
+                "lambda1": float(self.spectral.lambda1),
+                "lambda2": float(self.spectral.lambda2),
+            },
             "residuals": dict(self.eigensystem.residuals),
             "ground_state": _fields_obj(self.ground),
             "covariance": self.cov.matrix.tolist(),
@@ -89,16 +92,16 @@ def analyze(
     """
     validate(p)
     cp = to_commutative(p)
-    sd = spectral_data(cp)
-    es = assemble_eigensystem(p, sd, tol=tol)
-    gs = ground_state(cp, sd)
+    f = spectral_data(cp)
+    es = assemble_eigensystem(p, f, tol=tol)
+    gs = ground_state(cp, f)
     cov = covariance(gs)
-    rep = _simon_report(cov.matrix, eps_sep, ppt=True, reason=_reason(p, sd.forms, eps_c))
+    rep = _simon_report(cov.matrix, eps_sep, ppt=True, reason=_reason(p, f, eps_c))
     return AnalysisReport(
         params=p,
         hbar_e=effective_planck(p),
         commutative=cp,
-        spectral=sd,
+        spectral=f,
         eigensystem=es,
         ground=gs,
         cov=cov,

@@ -47,7 +47,7 @@ from .gaussian import (
     require_physical,
 )
 from .params import PhysicalParams, to_commutative, validate
-from .symplectic import _SWAP, ClosedForms, closed_forms, degenerate, spectral_data
+from .symplectic import ClosedForms, closed_forms, degenerate, spectral_data
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -155,7 +155,9 @@ def on_boundary(margin, rhs, eps_sep: float):
     return abs(margin) <= eps_sep * rhs
 
 
-# I_SIGMA_Y F V F, F = diag(1, 1, 1, -1), is V[_SWAP] * _PPT_SIGNS + 0.0 bit for bit
+# I_SIGMA_Y F V F, F = diag(1, 1, 1, -1), is V[_SWAP] * _PPT_SIGNS + 0.0 bit
+# for bit: i Sigma_y is a signed row swap
+_SWAP = [1, 0, 3, 2]
 _PPT_SIGNS = np.outer([1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
@@ -262,9 +264,9 @@ def classify(
     """
     validate(p)
     cp = to_commutative(p)
-    sd = spectral_data(cp)
-    m = covariance(ground_state(cp, sd)).matrix
-    return _simon_report(m, eps_sep, ppt, _reason(p, sd.forms, eps_c))
+    f = spectral_data(cp)
+    m = covariance(ground_state(cp, f)).matrix
+    return _simon_report(m, eps_sep, ppt, _reason(p, f, eps_c))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,17 +162,19 @@ def gates(f: ClosedForms) -> tuple:
     """(name, fires, detail) of the four gates of spectral_data, in order:
     fires is elementwise (a NaN fires the range gate alone), detail()
     gives the gate's value at a float point.  lambda1 bounds sigma and
-    delta, so the range gate covers every output that a later stage reads."""
+    delta, so the range gate covers every output that a later stage reads.
+    Each gate compares a ratio with its tolerance, never the tolerance
+    times a scale, which underflows at subnormal sigma."""
     ranged = _ranged(f)
     inside = True
     for _, _, ok in ranged:
         inside = inside & ok
     return (
-        ("singular Bopp map (theta eta = 4)", (abs(f.k) <= SINGULAR_TOL * f.h) & (f.h < np.inf),
+        ("singular Bopp map (theta eta = 4)", abs(f.k) / f.h <= SINGULAR_TOL,
          lambda: f"|k|/h = {abs(f.k) / f.h:.6e} <= {SINGULAR_TOL:.6e}"),
         ("out of float64 range", np.logical_not(inside),
          lambda: "%s = %r" % next((n, float(v)) for n, v, ok in ranged if not ok)),
-        ("normal modes collide", f.delta < COLLISION_TOL * f.sigma,
+        ("normal modes collide", f.delta / f.sigma < COLLISION_TOL,
          lambda: f"delta/sigma = {f.delta / f.sigma:.6e} < {COLLISION_TOL:.6e}"),
         ("correlation past float64 resolution", f.s > CORRELATION_MAX,
          lambda: f"s = {f.s:.6e} > {CORRELATION_MAX:.6e}"),
@@ -188,26 +190,13 @@ def degenerate(f: ClosedForms):
 
 
 @dataclass(frozen=True)
-class SpectralData:
-    """Normal-mode frequencies lambda1 >= lambda2 > 0, with the ClosedForms
-    they were read from (forms: for the later stages; not part of
-    equality, repr or JSON)."""
-
-    lambda1: float
-    lambda2: float
-    forms: ClosedForms = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvectors of Omega and the assembled transformation.
+    """Eigenvectors of Omega, verified.
 
     u1, u2        : left row eigenvectors, u_i Omega = -i lambda_i u_i,
                     normalized to u_i (-Sigma_y) u_i^dagger = 1
-    v1, v2        : right column eigenvectors v_i = -Sigma_y u_i^dagger
-    q, q_inv      : Q = (v1, v1*, v2, v2*), Q^-1 = rows (u1, u1*, u2, u2*)
-    omega_d       : diag(-i l1, +i l1, -i l2, +i l2)
-    sigma         : diag(l1, l1, l2, l2)
+    q_inv         : Q^-1 = rows (u1, u1*, u2, u2*); Q itself is
+                    -Sigma_y (Q^-1)^dagger Sigma_z
     residuals     : relative Frobenius residuals of the defining identities
     used_fallback : always (False, False): one construction covers every
                     mode; bench/tracing.py counts eigenvectors from it
@@ -215,12 +204,7 @@ class EigenSystem:
 
     u1: np.ndarray
     u2: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    q: np.ndarray
     q_inv: np.ndarray
-    omega_d: np.ndarray
-    sigma: np.ndarray
     residuals: dict
     used_fallback: tuple
 
@@ -246,8 +230,10 @@ def build_omega(hm: np.ndarray) -> np.ndarray:
     return I_SIGMA_Y @ hm
 
 
-def spectral_data(cp: CommutativeParams) -> SpectralData:
-    """Normal-mode frequencies of cp = to_commutative(p), from closed_forms(p).
+def spectral_data(cp: CommutativeParams) -> ClosedForms:
+    """closed_forms(p) of cp = to_commutative(p), past the gates: the
+    spectrum lambda1 >= lambda2 > 0 and the ground state's coefficients,
+    as float64 scalars, for the later stages to read.
 
     Raises DegenerateSpectrum at the singular Bopp map, where a frequency
     or a moment of V leaves float64, where the modes collide and where the
@@ -263,13 +249,10 @@ def spectral_data(cp: CommutativeParams) -> SpectralData:
         for name, fires, detail in gates(f):
             if fires:
                 raise DegenerateSpectrum(f"{name}: {detail()}")
-    return SpectralData(float(f.lambda1), float(f.lambda2), f)
+    return f
 
 
 _EYE = np.eye(4, dtype=complex)
-# -Sigma_y M Sigma_z = _Q_SIGNS * M[_SWAP]: i Sigma_y is a signed row swap
-_SWAP = [1, 0, 3, 2]
-_Q_SIGNS = 1.0j * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
 
 
 def _mode_rows(p: PhysicalParams, f: ClosedForms) -> np.ndarray:
@@ -336,43 +319,35 @@ def _frobenius(m: np.ndarray) -> float:
 
 def assemble_eigensystem(
     p: PhysicalParams,
-    sd: SpectralData,
+    f: ClosedForms,
     *,
     tol: float = 1e-9,
 ) -> EigenSystem:
-    """Build Q, Q^-1 (the rows u1, u1*, u2, u2*) and the diagonal forms for
-    sd = spectral_data(to_commutative(p)), verifying the identities on
-    A / sigma and P = (e1, e1*, e2, e2*): eigvec_i = |A e_i - i lambda_i e_i|
-    / (|A| |e_i|), diagonalization = |P A P^dagger - Omega_D| / |Omega_D|,
-    ladder = |P P^dagger - 1| / 2 (Frobenius norms).  SingularQ when
-    residuals["max"] exceeds tol or is NaN.
+    """Build Q^-1 (the rows u1, u1*, u2, u2*) for f = spectral_data(
+    to_commutative(p)), verifying the identities on A / sigma and
+    P = (e1, e1*, e2, e2*): eigvec_i = |A e_i - i lambda_i e_i| / (|A| |e_i|),
+    diagonalization = |P A P^dagger - Omega_D| / |Omega_D|, ladder =
+    |P P^dagger - 1| / 2 (Frobenius norms), Omega_D = diag(-i l1, +i l1,
+    -i l2, +i l2).  SingularQ when residuals["max"] exceeds tol or is NaN.
     """
-    f = sd.forms
     rows = _mode_rows(p, f)
     q_inv, pe = rows[:4], rows[4:]
-    # columns v1, v1*, v2, v2*: Q = -Sigma_y (Q^-1)^dagger Sigma_z, exactly
-    q = _Q_SIGNS * q_inv[:, _SWAP].conj().T
-    l1, l2 = sd.lambda1, sd.lambda2
-    omega_d = np.diag([-1.0j * l1, 1.0j * l1, -1.0j * l2, 1.0j * l2])
     scale = float(f.sigma)
+    s1, s2 = float(f.lambda1) / scale, float(f.lambda2) / scale
     a01, a23, a02, a13 = (float(x) / scale for x in (f.a01, f.a23, f.a02, f.a13))
     a = np.array([[0, a01, a02, 0], [-a01, 0, 0, a13], [-a02, 0, 0, a23], [0, -a13, -a23, 0]])
     pe_h = pe.conj().T
     w = pe @ a  # rows 0 and 2 are e1^T A = -i l1 e1^T and e2^T A, over sigma
     n_a = _frobenius(a)
-    s1, s2 = l1 / scale, l2 / scale
+    omega_d = np.diag([-1.0j * s1, 1.0j * s1, -1.0j * s2, 1.0j * s2])  # over sigma
     residuals = {
         "eigvec_1": _frobenius(w[0] + 1.0j * s1 * pe[0]) / (_frobenius(pe[0]) * n_a),
         "eigvec_2": _frobenius(w[2] + 1.0j * s2 * pe[2]) / (_frobenius(pe[2]) * n_a),
-        "diagonalization": _frobenius(w @ pe_h - omega_d / scale)
-        / math.sqrt(2.0 * (s1 * s1 + s2 * s2)),
+        "diagonalization": _frobenius(w @ pe_h - omega_d) / math.sqrt(2.0 * (s1 * s1 + s2 * s2)),
         "ladder": _frobenius(pe @ pe_h - _EYE) / 2.0,
     }
     # a NaN residual ranks above every number, so it fails the check
     worst = residuals["max"] = max(residuals.values(), key=lambda r: (r != r, r))
     if not worst <= tol:
         raise SingularQ(f"identity residual {worst:.3e} exceeds {tol:.1e}")
-    sigma = np.diag([l1, l1, l2, l2])
-    u1, u2 = q_inv[0], q_inv[2]
-    v1, v2 = q[:, 0], q[:, 2]
-    return EigenSystem(u1, u2, v1, v2, q, q_inv, omega_d, sigma, residuals, (False, False))
+    return EigenSystem(q_inv[0], q_inv[2], q_inv, residuals, (False, False))

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HomodyneUnsupported, NonPositiveParameter, SingularMeasurement
-from .errors import UnphysicalCovariance
+from .errors import DegenerateSpectrum, HomodyneUnsupported, NonPositiveParameter
+from .errors import SingularMeasurement, UnphysicalCovariance
 from .gaussian import CovarianceMatrix, is_pure, require_physical
 
 
@@ -64,29 +64,30 @@ class MeasurementSpec:
 
 @dataclass(frozen=True)
 class SzilardResult:
-    """Extracted work and the determinants behind it.
+    """Extracted work and the determinants behind it, for the spec that
+    extractable_work was given.
 
     work_closed_form, (kbt/2) log1p(-4 det C), is filled for every pure
     V (gaussian.is_pure) and None for a mixed one; it must agree with
-    work to rounding.
+    work to rounding.  Every field is a float64 number.
     """
 
     work: float
     work_closed_form: float | None
     det_before: float
     det_after: float
-    mu: float
-    angle: float
-    kbt: float
 
 
 def _check_spec(spec: MeasurementSpec):
+    """mu, kbt and angle in their domains, with gamma's mu/2 and 1/(2 mu) finite."""
     if not np.isfinite(spec.mu) or spec.mu < 0.0:
         raise NonPositiveParameter("mu", spec.mu)
     if spec.mu == 0.0:
         raise HomodyneUnsupported(
             "mu = 0 is the homodyne limit; only mu > 0 measurements are supported"
         )
+    if not 0.5 / spec.mu < math.inf:
+        raise NonPositiveParameter("mu", spec.mu, must="large enough that 1/(2 mu) is finite")
     if not np.isfinite(spec.kbt) or spec.kbt <= 0.0:
         raise NonPositiveParameter("kbt", spec.kbt)
     if not np.isfinite(spec.angle):
@@ -111,14 +112,15 @@ def conditional_covariance(
     V of far-apart scales the adjugate formula loses 20 to 150 times more
     of det V1'.  V2 + gamma counts as singular when its determinant is
     below 1e-14 times the product of its diagonal: for a positive-definite
-    matrix that ratio lies in (0, 1] at any scale.
+    matrix that ratio lies in (0, 1] at any scale; a determinant that is
+    not a number (inf - inf, at a far-squeezed tilted gamma) counts too.
     """
     rows, g = np.asarray(v).tolist(), np.ravel(gamma).tolist()
     (a00, a01, c00, c01), (a10, a11, c10, c11) = rows[0], rows[1]
     e0 = (rows[2][2] + g[0], rows[2][3] + g[1], c00, c10)  # [B + gamma | C^T]
     e1 = (rows[3][2] + g[2], rows[3][3] + g[3], c01, c11)
     det = e0[0] * e1[1] - e0[1] * e1[0]
-    if abs(det) <= 1e-14 * abs(e0[0] * e1[1]):
+    if not abs(det) > 1e-14 * abs(e0[0] * e1[1]):
         raise SingularMeasurement(f"V2 + gamma is singular (det = {det:.3e})")
     (p, q, y0, y1), (r, t, z0, z1) = (e1, e0) if abs(e1[0]) > abs(e0[0]) else (e0, e1)
     l = r / p
@@ -140,7 +142,8 @@ def extractable_work(
 
     Raises UnphysicalCovariance for a covariance matrix that fails the
     uncertainty check or whose det V1' rounds to <= 0, HomodyneUnsupported
-    for mu = 0 and SingularMeasurement if V2 + gamma cannot be inverted.
+    for mu = 0, SingularMeasurement if V2 + gamma cannot be inverted and
+    DegenerateSpectrum when the work leaves float64 (kbt near its top).
     """
     gamma = measurement_covariance(spec)  # checks spec before V
     m = np.asarray(v)
@@ -154,12 +157,6 @@ def extractable_work(
     work = 0.5 * spec.kbt * float(np.log(det_before / det_after))
     s = 4.0 * (c01 * c10 - c00 * c11)  # -4 det C
     closed = 0.5 * spec.kbt * math.log1p(s) if is_pure(m) else None
-    return SzilardResult(
-        work=work,
-        work_closed_form=closed,
-        det_before=det_before,
-        det_after=det_after,
-        mu=spec.mu,
-        angle=spec.angle,
-        kbt=spec.kbt,
-    )
+    if not abs(work) < math.inf or closed == math.inf:  # kbt near float64's top
+        raise DegenerateSpectrum(f"out of float64 range: work = {work!r}, closed form {closed!r}")
+    return SzilardResult(work, closed, det_before, det_after)

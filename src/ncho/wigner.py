@@ -23,9 +23,9 @@ gaussian.is_pure); a mixed V is not given the exponent of another state.
 
 Normalization: N = sqrt(det M) / pi^2 makes the integral of W equal 1.
 The constant 2/(pi hbar^2) that is conventional in front of the
-two-mode convolution form is kept in the report as raw_prefactor; for a
-degenerate exponent the distribution is not normalizable and
-raw_prefactor is used verbatim for display.
+two-mode convolution form is RAW_PREFACTOR, written to the grid
+metadata as raw_prefactor; for a degenerate exponent the distribution
+is not normalizable and RAW_PREFACTOR is used verbatim for display.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .separability import json_text
 from .symplectic import I_SIGMA_Y
 
 AXIS_INDEX = {"x1": 0, "p1": 1, "x2": 2, "p2": 3}
+RAW_PREFACTOR = 2.0 / np.pi  # 2/(pi hbar^2) at hbar = 1
 
 
 @dataclass(frozen=True)
@@ -48,13 +49,12 @@ class WignerForm:
     """Exponent matrix and prefactors of W(Z) = norm * exp(-Z^T m Z).
 
     norm is sqrt(det m)/pi^2 for a normalizable form; for a degenerate
-    form (det m = 0) it falls back to raw_prefactor = 2/pi and the
+    form (det m = 0) it falls back to RAW_PREFACTOR = 2/pi and the
     degenerate flag is set.
     """
 
     m: np.ndarray
     norm: float
-    raw_prefactor: float
     degenerate: bool
 
 
@@ -120,7 +120,7 @@ class WignerGrid:
             },
             "exponent_matrix": [[float(x) for x in row] for row in self.form.m],
             "norm": self.form.norm,
-            "raw_prefactor": self.form.raw_prefactor,
+            "raw_prefactor": RAW_PREFACTOR,
             "degenerate": self.form.degenerate,
             "w_min": float(self.values.min()),
             "w_max": float(self.values.max()),
@@ -142,12 +142,11 @@ def wigner_form(v: CovarianceMatrix | np.ndarray) -> WignerForm:
         raise UnphysicalCovariance("V is not finite")
     m = 2.0 * (I_SIGMA_Y.T @ mv @ I_SIGMA_Y)
     det = float(np.linalg.det(m))
-    raw = 2.0 / np.pi
     if is_pure(mv):
         require_physical(mv)
-        return WignerForm(m=m, norm=math.sqrt(det) / np.pi**2, raw_prefactor=raw, degenerate=False)
+        return WignerForm(m=m, norm=math.sqrt(det) / np.pi**2, degenerate=False)
     if det <= 1e-12 * abs(float(np.prod(np.diag(m))) or 1.0):
-        return WignerForm(m=m, norm=raw, raw_prefactor=raw, degenerate=True)
+        return WignerForm(m=m, norm=RAW_PREFACTOR, degenerate=True)
     raise ValueError(f"covariance matrix is not that of a pure state: 16 det V = {det!r}")
 
 

@@ -110,6 +110,21 @@ def extreme_grid():
     ]
 
 
+def corner_grid():
+    """12,005 points at the edges of float64: m1, m2, wt1, wt2 each in
+    {5e-324, 1e-320, 2.2e-308, 1e-300, 1, 1e300, 1.7e308} (subnormal,
+    near the smallest normal and near the largest double), with (theta,
+    eta) in {(0, 0.4), (0.3, 0), (5e-324, 1e308), (1e308, 1e-308),
+    (1, 2.5)}; no filter."""
+    scales = [5e-324, 1e-320, 2.2e-308, 1e-300, 1.0, 1e300, 1.7e308]
+    pairs = [(0.0, 0.4), (0.3, 0.0), (5e-324, 1e308), (1e308, 1e-308), (1.0, 2.5)]
+    return [
+        PhysicalParams(m1, m2, wt1, wt2, theta, eta)
+        for m1, m2, wt1, wt2 in itertools.product(scales, repeat=4)
+        for theta, eta in pairs
+    ]
+
+
 def sixty_digit_state(p):
     """{name: value} of lambda1, lambda2 and V's six moments (named as in
     symplectic.MOMENTS) at 60 digits, from the factored forms in exact

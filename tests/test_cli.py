@@ -132,6 +132,24 @@ def test_near_collision_of_far_apart_scales_exits_3(capsys, command):
     assert err.startswith("error: normal modes collide")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w2,code", [("5e-324", 3), ("1e-320", 0)])
+def test_subnormal_frequencies_collide_or_answer(capsys, w2, code):
+    """Subnormal frequencies at heavy masses: at w2 = w1 = 5e-324 the modes
+    truly collide (delta/sigma ~ 7e-25 at 60 digits; delta rounds to 0),
+    and w2 = 1e-320 answers with every residual within 1e-9.  While the
+    gates compared delta with COLLISION_TOL * sigma, which underflows,
+    the first exited 1 with a ZeroDivisionError traceback and the second
+    exited 4 on a NaN residual after a RuntimeWarning."""
+    flags = ["--m1", "1e300", "--m2", "1e300", "--w1", "5e-324", "--w2", w2]
+    got, out, err = run(capsys, ["analyze", *flags, "--theta", "0.3", "--eta", "0"])
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: normal modes collide: delta/sigma = ")
+    else:
+        assert err == "" and json.loads(out)["residuals"]["max"] <= 1e-9
+
+
 EXTREME = ("1e-300", "1e-150", "1e150", "1e300")
 
 
@@ -629,6 +647,60 @@ def test_szilard_checks_the_spec_once(capsys, monkeypatch):
         code, out, err = run(capsys, ["szilard", *BASE_FLAGS, *bad[k:]])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: parameter '{field}' must be")
+
+
+def test_szilard_rejects_mu_whose_inverse_overflows(capsys):
+    """Below mu ~ 2.8e-309 gamma's 1/(2 mu) is infinite: exit 2 naming mu
+    (it exited 4 with det V1' = nan)."""
+    code, out, err = run(capsys, ["szilard", *BASE_FLAGS, "--mu", "5e-324"])
+    assert (code, out) == (2, "")
+    assert err == "error: parameter 'mu' must be large enough that 1/(2 mu) is finite, got 5e-324\n"
+    code, out, err = run(capsys, ["szilard", *BASE_FLAGS, "--mu", "2.8e-309"])
+    assert (code, err) == (0, "")
+
+
+def test_szilard_work_past_float64_exits_3(capsys):
+    """The true work here is ~2.75e308, past the largest double: exit 3
+    naming work, and nothing on stdout (it printed "work":Infinity, which
+    is not JSON)."""
+    flags = ["--m1", "1000", "--m2", "1", "--w1", "1", "--w2", "100", "--theta", "100"]
+    code, out, err = run(capsys, ["szilard", *flags, "--eta", "0", "--kbt", "1.7e308"])
+    assert (code, out) == (3, "")
+    assert err == "error: out of float64 range: work = inf, closed form inf\n"
+    code, out, err = run(capsys, ["szilard", *flags, "--eta", "0", "--kbt", "1e308"])
+    assert code == 0 and json.loads(out)["work"] == pytest.approx(1.619388194282271e308, rel=1e-9)
+
+
+SZILARD_POINTS = (
+    BASE_FLAGS,
+    "--m1=1000 --m2=1 --w1=1 --w2=100 --theta=100 --eta=0".split(),
+    "--m1=1e-44 --m2=1e-99 --w1=1e-78 --w2=1e-74 --theta=0.04 --eta=0".split(),
+    "--m1=1e300 --m2=1e300 --w1=5e-324 --w2=1e-320 --theta=0.3 --eta=0".split(),
+)
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in szilard stdout")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", SZILARD_POINTS, ids=range(len(SZILARD_POINTS)))
+def test_szilard_stdout_never_holds_infinity_or_nan(capsys, flags):
+    """At states from far-apart to subnormal scales, with mu, kbt and the
+    angle at the edges of float64, szilard prints strict JSON (no Infinity
+    or NaN constant) or exits 2, 3 or 4 with nothing on stdout.  A tilted
+    gamma squeezed to 1/(2 mu) ~ 5e299 has a determinant of inf - inf:
+    that counts as singular (exit 4); it ended in ZeroDivisionError."""
+    for mu in ("5e-324", "2.8e-309", "1e-300", "1", "1e300", "1.7e308"):
+        for kbt in ("5e-324", "1", "1.7e308"):
+            for angle in ("0", "0.7"):
+                argv = ["szilard", *flags, "--mu", mu, "--kbt", kbt, "--angle", angle]
+                code, out, err = run(capsys, argv)
+                if code:
+                    assert code in (2, 3, 4) and out == "", argv
+                    assert err.startswith("error:") and err.count("\n") == 1, argv
+                else:
+                    json.loads(out, parse_constant=_no_constant)
 
 
 def test_szilard_homodyne_rejected(capsys):

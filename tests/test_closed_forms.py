@@ -30,7 +30,7 @@ from ncho import (
 from ncho.gaussian import covariance_matrix
 from ncho.symplectic import closed_forms, gates
 
-from conftest import extreme_grid, outside_float64
+from conftest import corner_grid, extreme_grid, outside_float64
 
 U = 2.0**-52
 GATES = (
@@ -193,7 +193,7 @@ def test_extreme_grid_answers_hold_every_property(grid_outcomes):
     for p, rep in grid_outcomes:
         if isinstance(rep, NchoError):
             continue
-        sep, s = rep.separability, float(rep.spectral.forms.s)
+        sep, s = rep.separability, float(rep.spectral.s)
         assert sep.verdict == sep.ppt_verdict, p
         assert abs(sep.margin + s / 4) <= 1e-9 * sep.rhs, p
         for mu in (0.3, 1.0, 5.0):
@@ -201,6 +201,35 @@ def test_extreme_grid_answers_hold_every_property(grid_outcomes):
             assert res.work_closed_form is not None, p
             assert abs(res.det_after - 0.25) <= 4 * U * (1 + s) * 0.25, p
         assert not wigner_form(rep.cov).degenerate, p
+
+
+@pytest.mark.filterwarnings("error")
+def test_corner_grid_ends_in_answers_or_named_gates():
+    """conftest.corner_grid: at each of the 12,005 points analyze answers,
+    with the PPT verdict equal to the Simon one (and the residuals within
+    tol, which analyze checks), or raises an NchoError, with no warning.
+    16 points ended otherwise while the collision and singular gates
+    compared delta and |k| with the tolerance times sigma and h, whose
+    product underflows, and the diagonalization residual divided Omega_D
+    by sigma through 1/sigma, which overflows: 8 ZeroDivisionErrors in the
+    eigenvector rows (delta = 0, delta/sigma ~ 7e-25 at 60 digits, now a
+    collision) and 8 NaN residuals after a RuntimeWarning (now answers)."""
+    outcomes = {}
+    for p in corner_grid():
+        try:
+            rep = analyze(p)
+        except NchoError as e:
+            outcome = f"exit {e.exit_code}: {str(e).split(':')[0]}"
+        else:
+            assert rep.separability.verdict == rep.separability.ppt_verdict, p
+            outcome = "answer"
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert outcomes == {
+        "answer": 440,
+        "exit 3: out of float64 range": 11157,
+        "exit 3: normal modes collide": 58,
+        "exit 3: correlation past float64 resolution": 350,
+    }
 
 
 def bopp_60(p):

@@ -8,6 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from ncho import (
+    CommutativeParams,
     DegenerateSpectrum,
     MeasurementSpec,
     PhysicalParams,
@@ -398,7 +399,10 @@ def test_exponent_denominator_is_a_positive_block_determinant_past_the_gates():
     ok = ~degenerate(closed_forms(PhysicalParams(m1, m2, wt1, wt2, theta, eta)))
     assert ok[::2].sum() > 500 and ok[1::2].sum() > 500
     p = PhysicalParams(m1[ok], m2[ok], wt1[ok], wt2[ok], theta[ok], eta[ok])
-    cp = to_commutative(p)
+    # to_commutative takes floats: its fields, point by point, as arrays
+    points = [to_commutative(PhysicalParams(*x)) for x in zip(*(v.tolist() for v in vars(p).values()))]
+    fields = ((c.mu1, c.mu2, c.w1, c.w2, c.nu1, c.nu2) for c in points)
+    cp = CommutativeParams(*map(np.array, zip(*fields)))
     f = closed_forms(p)
     l1, l2 = f.lambda1, f.lambda2
     with np.errstate(all="ignore"):  # denom rounds to 0 at some points
@@ -411,7 +415,7 @@ def test_exponent_denominator_is_a_positive_block_determinant_past_the_gates():
     assert (denom - cp.mu2 * l1 * l2 >= -slack).all()
     assert (f.l11 > 0).all() and (f.l22 > 0).all()
     for k in range(0, len(l1), len(l1) // 20):
-        hm = build_hamiltonian(to_commutative(PhysicalParams(*(float(v[k]) for v in p.__dict__.values()))))
+        hm = build_hamiltonian(points[k])
         # q's own rounding, 8 u times its terms, where it is a cancellation residue
         slack = 8 * u * (cp.mu2[k] * w2s[k] + 4.0 * cp.mu1[k] * nu1s[k])
         assert abs(cp.mu1[k] * np.linalg.det(hm[1:3, 1:3]) - q[k]) <= 1e-9 * abs(q[k]) + slack

@@ -105,7 +105,7 @@ def test_commutative_anisotropic_spectrum_exact():
     # decoupled: sigma = 3 and delta = 1 exactly, and lambda2 = (rho k)^2 / lambda1
     assert sd.lambda1 == 2.0
     assert sd.lambda2 == pytest.approx(1.0, rel=1e-15)
-    assert (sd.forms.sigma, sd.forms.delta) == (3.0, 1.0)
+    assert (sd.sigma, sd.delta) == (3.0, 1.0)
 
 
 def test_isotropic_in_field_modes_are_w_plus_minus_2nu(rng):
@@ -176,10 +176,9 @@ def test_spectrum_against_dense_eigensolver(rng):
 
 def test_spectral_invariants_hold_in_bulk(rng):
     for p in draw_params(rng, 10_000, theta=(0.0, 1.0), eta=(0.0, 1.0)):
-        sd = spectral_data(to_commutative(p))
-        f = sd.forms
+        f = spectral_data(to_commutative(p))
         assert f.sigma >= f.delta >= 0.0
-        assert sd.lambda1 >= sd.lambda2 > 0.0
+        assert f.lambda1 >= f.lambda2 > 0.0
 
 
 def test_commutative_bypass_values():
@@ -265,24 +264,20 @@ def test_eigensystem_identity_matrices_explicitly():
     sd = spectral_data(cp)
     es = assemble_eigensystem(p, sd)
     om = build_omega(build_hamiltonian(cp))
-    assert np.allclose(es.q @ es.q_inv, np.eye(4), atol=1e-13)
-    assert np.allclose(es.q_inv @ om @ es.q, es.omega_d, atol=1e-13)
-    # Q^dagger = -Sigma_z Q^-1 Sigma_y, where Sigma_z = diag(1, -1, 1, -1)
+    q = np.linalg.inv(es.q_inv)  # an independent Q, by a dense inverse
+    omega_d = np.diag([-1j * sd.lambda1, 1j * sd.lambda1, -1j * sd.lambda2, 1j * sd.lambda2])
+    assert np.allclose(es.q_inv @ om @ q, omega_d, atol=1e-13)
+    # Q = -Sigma_y (Q^-1)^dagger Sigma_z, where Sigma_z = diag(1, -1, 1, -1)
     # is the ladder metric
-    assert np.allclose(
-        es.q.conj().T, -LADDER_METRIC @ es.q_inv @ SIGMA_Y, atol=1e-13
-    )
+    assert np.allclose(q, -SIGMA_Y @ es.q_inv.conj().T @ LADDER_METRIC, atol=1e-13)
     assert np.allclose(
         es.q_inv @ (-SIGMA_Y) @ es.q_inv.conj().T, LADDER_METRIC, atol=1e-13
-    )
-    assert np.array_equal(
-        np.diag(es.sigma), [sd.lambda1, sd.lambda1, sd.lambda2, sd.lambda2]
     )
     # rows of q_inv are the eigenvectors and their conjugates
     assert np.array_equal(es.q_inv[0], es.u1)
     assert np.array_equal(es.q_inv[1], es.u1.conj())
-    # columns of q are v_i = -Sigma_y u_i^dagger
-    assert np.allclose(es.q[:, 0], -SIGMA_Y @ es.u1.conj())
+    # columns of Q are v_i = -Sigma_y u_i^dagger
+    assert np.allclose(q[:, 0], -SIGMA_Y @ es.u1.conj())
 
 
 def test_nan_residual_raises_singular_q(monkeypatch):
@@ -290,7 +285,7 @@ def test_nan_residual_raises_singular_q(monkeypatch):
     the check must still fail (Python's max would keep the finite one)."""
     p = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.4)
     cp = to_commutative(p)
-    rows = symplectic._mode_rows(p, spectral_data(cp).forms)
+    rows = symplectic._mode_rows(p, spectral_data(cp))
     rows[6, 0] = rows[7, 0] = np.nan  # e2 and its conjugate
     monkeypatch.setattr(symplectic, "_mode_rows", lambda p, f: rows)
     with pytest.raises(SingularQ, match="nan"):
@@ -302,7 +297,7 @@ def test_swapped_mode_rows_raise_singular_q(monkeypatch):
     modes 1 and 2 swapped."""
     p = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.4)
     cp = to_commutative(p)
-    rows = symplectic._mode_rows(p, spectral_data(cp).forms)[[2, 3, 0, 1, 6, 7, 4, 5]]
+    rows = symplectic._mode_rows(p, spectral_data(cp))[[2, 3, 0, 1, 6, 7, 4, 5]]
     assert np.isfinite(rows).all()
     monkeypatch.setattr(symplectic, "_mode_rows", lambda p, f: rows)
     with pytest.raises(SingularQ):
@@ -482,7 +477,9 @@ def test_ground_energy_is_quarter_trace_of_sigma():
     cp = to_commutative(p)
     sd = spectral_data(cp)
     es = assemble_eigensystem(p, sd)
-    assert energy(sd) == pytest.approx(np.trace(es.sigma).real / 4, rel=1e-15)
+    # |Omega_D| = diag(l1, l1, l2, l2), with Omega_D = Q^-1 Omega Q from the eigensystem
+    omega_d = es.q_inv @ build_omega(build_hamiltonian(cp)) @ np.linalg.inv(es.q_inv)
+    assert energy(sd) == pytest.approx(np.trace(np.abs(omega_d)) / 4, rel=1e-15)
 
 
 def test_energy_ladder():

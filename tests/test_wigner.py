@@ -30,7 +30,7 @@ from ncho import (
     wigner_form,
 )
 from ncho.gaussian import covariance_matrix
-from ncho.wigner import evaluate
+from ncho.wigner import RAW_PREFACTOR, evaluate
 
 from conftest import beam_splitter, draw_params, wide_probe
 
@@ -215,7 +215,7 @@ def test_illustration_form_is_degenerate_tilted():
     )
     assert np.allclose(wf.m, want)
     assert wf.degenerate
-    assert wf.norm == wf.raw_prefactor == pytest.approx(2 / np.pi)
+    assert wf.norm == RAW_PREFACTOR == pytest.approx(2 / np.pi)
     # exponent collapses onto (x1 + p2)^2 + (x2 + p1)^2
     z = np.array([0.7, -0.3, 0.2, 0.5])
     expo = (z[0] + z[3]) ** 2 + (z[2] + z[1]) ** 2
