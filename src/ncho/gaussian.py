@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .params import CommutativeParams
-from .symplectic import PURITY_TOL, SIGMA_Y, ClosedForms, _frobenius, moments, spectral_data
+from .symplectic import PURITY_TOL, SIGMA_Y, ClosedForms, moments, spectral_data
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,9 @@ def require_physical(v: CovarianceMatrix | np.ndarray):
     Meant for a caller's V and for scan's stacks; covariance() builds a
     V that is physical by construction.  The smallest eigenvalue of
     V - Sigma_y/2 must reach -RS_TOL |V|_F: the bound is relative, because
-    rounding in V scales with its size.  For a stack of matrices each one
-    is held to its own bound; the error reports the worst eigenvalue
+    rounding in V scales with its size; |V|_F is one hypot reduction over
+    V's entries, so no square overflows, and V = 0 fails.  Each matrix of a
+    stack is held to its own bound; the error reports the worst eigenvalue
     relative to |V|_F.  Returns rs_min_eigenvalue(V).
     """
     m = np.asarray(v)
@@ -161,16 +162,12 @@ def require_physical(v: CovarianceMatrix | np.ndarray):
         rs_min = rs_min_eigenvalue(m)
     except np.linalg.LinAlgError:
         raise UnphysicalCovariance("V is not finite") from None
-    if m.shape == (4, 4):
-        norm = _frobenius(m)
-    else:  # scaled to the largest entry, so that no square overflows
-        top = np.abs(m).max(axis=(-2, -1))
-        norm = top * np.linalg.norm(m / top[..., None, None], axis=(-2, -1))
-    rel = rs_min / norm
-    # a V that is not finite gives NaN here, which fails the comparison
-    if not (rel >= -RS_TOL).all():
+    norm = np.hypot.reduce(m.reshape(*m.shape[:-2], 16), axis=-1)  # |V|_F; no square overflows
+    if not (rs_min >= -RS_TOL * norm).all():  # a NaN (V not finite) fails too
+        with np.errstate(divide="ignore", invalid="ignore"):  # V = 0 or not finite
+            rel = (rs_min / norm).min()
         raise UnphysicalCovariance(
-            f"V - Sigma_y/2 has eigenvalue {rel.min():.6e} |V|_F < -{RS_TOL:.1e} |V|_F"
+            f"V - Sigma_y/2 has eigenvalue {rel:.6e} |V|_F < -{RS_TOL:.1e} |V|_F"
         )
     return rs_min
 
@@ -181,10 +178,13 @@ def is_pure(v: CovarianceMatrix | np.ndarray) -> bool:
     det V is the product of the squared symplectic eigenvalues, each at
     least 1/4 on a V that passes require_physical, so there 16 det V = 1
     exactly for a pure state.  The test is dimensionless and symplectic
-    invariant, so the spread of V's scales does not enter it; it does
-    not check physicality.
+    invariant, so the spread of V's scales does not enter it; it reads
+    expm1(log 16 det V) from slogdet, so that no determinant under- or
+    overflows, and it does not check physicality.
     """
-    return abs(16.0 * float(np.linalg.det(np.asarray(v))) - 1.0) <= PURITY_TOL
+    sign, logdet = np.linalg.slogdet(np.asarray(v))
+    x = float(logdet) + math.log(16.0)  # log(16 det V); math.expm1 overflows past 709
+    return bool(sign > 0.0) and abs(x) < 1.0 and abs(math.expm1(x)) <= PURITY_TOL
 
 
 def variance_products(gs: GroundState) -> tuple:

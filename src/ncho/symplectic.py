@@ -46,18 +46,12 @@ import numpy as np
 from .errors import DegenerateSpectrum, SingularQ
 from .params import CommutativeParams, PhysicalParams
 
-# Pauli y and its two-mode block version, ordering (x1,p1,x2,p2)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-SIGMA_Y = np.kron(np.eye(2), PAULI_Y)
+# Pauli y in each mode block, ordering (x1,p1,x2,p2)
+SIGMA_Y = np.kron(np.eye(2), [[0.0, -1.0j], [1.0j, 0.0]])
 
 # i Sigma_y is real; it is also the commutator table of X at hbar = 1:
 # [X_a, X_b] = i (I_SIGMA_Y)_ab
-I_SIGMA_Y = np.kron(np.eye(2), J2)
-
-LADDER_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
+I_SIGMA_Y = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
 # what closed_forms gives, each a float or an array of the inputs' shape:
 # A01, A23, A02, A13, h, k, sigma, delta, the two frequencies, the
@@ -193,17 +187,15 @@ def degenerate(f: ClosedForms):
 class EigenSystem:
     """Eigenvectors of Omega, verified.
 
-    u1, u2        : left row eigenvectors, u_i Omega = -i lambda_i u_i,
-                    normalized to u_i (-Sigma_y) u_i^dagger = 1
-    q_inv         : Q^-1 = rows (u1, u1*, u2, u2*); Q itself is
-                    -Sigma_y (Q^-1)^dagger Sigma_z
+    q_inv         : Q^-1 = rows (u1, u1*, u2, u2*), u_i the left row
+                    eigenvectors, u_i Omega = -i lambda_i u_i, normalized
+                    to u_i (-Sigma_y) u_i^dagger = 1: u1 = q_inv[0] and
+                    u2 = q_inv[2]; Q itself is -Sigma_y (Q^-1)^dagger Sigma_z
     residuals     : relative Frobenius residuals of the defining identities
     used_fallback : always (False, False): one construction covers every
                     mode; bench/tracing.py counts eigenvectors from it
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
     q_inv: np.ndarray
     residuals: dict
     used_fallback: tuple
@@ -350,4 +342,4 @@ def assemble_eigensystem(
     worst = residuals["max"] = max(residuals.values(), key=lambda r: (r != r, r))
     if not worst <= tol:
         raise SingularQ(f"identity residual {worst:.3e} exceeds {tol:.1e}")
-    return EigenSystem(q_inv[0], q_inv[2], q_inv, residuals, (False, False))
+    return EigenSystem(q_inv, residuals, (False, False))

@@ -29,8 +29,8 @@ exactly when the modes are uncorrelated (y = 0) and is positive
 otherwise: the engine runs on the correlation alone.
 
 The Schur step runs on Python floats: gamma from math.cos and math.sin,
-the solve by pivoted elimination and each determinant as ad - bc, which
-on 2x2 blocks spares numpy's per-call overhead.
+the solve by the LDL^T factors of V2 + gamma and each determinant as
+ad - bc, which on 2x2 blocks spares numpy's per-call overhead.
 
 The homodyne limit mu -> 0 (or infinity) needs a rank-deficient gamma
 and is not implemented; mu = 0 raises HomodyneUnsupported.
@@ -108,29 +108,27 @@ def conditional_covariance(
 ) -> np.ndarray:
     """Covariance of mode 1 after the mode-2 measurement (Schur complement).
 
-    Runs on floats.  The solve pivots as np.linalg.solve does: on a dense
-    V of far-apart scales the adjugate formula loses 20 to 150 times more
-    of det V1'.  V2 + gamma counts as singular when its determinant is
-    below 1e-14 times the product of its diagonal: for a positive-definite
-    matrix that ratio lies in (0, 1] at any scale; a determinant that is
-    not a number (inf - inf, at a far-squeezed tilted gamma) counts too.
+    Runs on floats, through the LDL^T factors of the symmetric positive
+    definite G = V2 + gamma: pivots p = G00 and d = G11 - (G01/p) G01, and
+    C G^-1 C^T = c0 c0^T / p + y y^T / d, y = c1 - (G01/p) c0, each term
+    formed as c (c / p) so that no square overflows.  G counts as singular
+    unless d > 1e-14 G11, the ratio det G / (G00 G11) in (0, 1] at any
+    scale, never formed as a product; a pivot that is NaN or not positive
+    (inf - inf, at a far-squeezed tilted gamma) counts too.
     """
     rows, g = np.asarray(v).tolist(), np.ravel(gamma).tolist()
     (a00, a01, c00, c01), (a10, a11, c10, c11) = rows[0], rows[1]
-    e0 = (rows[2][2] + g[0], rows[2][3] + g[1], c00, c10)  # [B + gamma | C^T]
-    e1 = (rows[3][2] + g[2], rows[3][3] + g[3], c01, c11)
-    det = e0[0] * e1[1] - e0[1] * e1[0]
-    if not abs(det) > 1e-14 * abs(e0[0] * e1[1]):
-        raise SingularMeasurement(f"V2 + gamma is singular (det = {det:.3e})")
-    (p, q, y0, y1), (r, t, z0, z1) = (e1, e0) if abs(e1[0]) > abs(e0[0]) else (e0, e1)
-    l = r / p
-    u = t - l * q  # det / p up to sign, so not 0 past the gate above
-    x10, x11 = (z0 - l * y0) / u, (z1 - l * y1) / u
-    x00, x01 = (y0 - q * x10) / p, (y1 - q * x11) / p
+    p, g01, g11 = rows[2][2] + g[0], rows[2][3] + g[1], rows[3][3] + g[3]
+    l = g01 / p if p > 0.0 else math.nan  # a pivot that is NaN or <= 0: singular
+    d = g11 - l * g01
+    if not d > 1e-14 * g11:
+        raise SingularMeasurement(f"V2 + gamma is singular (pivots {p:.3e}, {d:.3e})")
+    y0, y1 = c01 - l * c00, c11 - l * c10
+    t0, t1, z0, z1 = c00 / p, c10 / p, y0 / d, y1 / d
     return np.array(
         [
-            [a00 - (c00 * x00 + c01 * x10), a01 - (c00 * x01 + c01 * x11)],
-            [a10 - (c10 * x00 + c11 * x10), a11 - (c10 * x01 + c11 * x11)],
+            [a00 - (c00 * t0 + y0 * z0), a01 - (c00 * t1 + y0 * z1)],
+            [a10 - (c10 * t0 + y1 * z0), a11 - (c10 * t1 + y1 * z1)],
         ]
     )
 

@@ -133,21 +133,23 @@ def wigner_form(v: CovarianceMatrix | np.ndarray) -> WignerForm:
     A pure V (is_pure, det M = 16 det V = 1: a test no spread of V's
     scales enters) gives a normalizable form; it must also be physical
     (UnphysicalCovariance).  Otherwise det M below 1e-12 of the product
-    of M's diagonal marks the form degenerate, and any other V raises
-    ValueError (M is not its exponent); one that is not finite raises
-    UnphysicalCovariance.
+    of M's diagonal (or not positive), compared as logs from slogdet so
+    that no product overflows, marks the form degenerate, and any other V
+    raises ValueError (M is not its exponent); one that is not finite
+    raises UnphysicalCovariance.
     """
     mv = np.asarray(v)
     if not np.isfinite(mv).all():
         raise UnphysicalCovariance("V is not finite")
     m = 2.0 * (I_SIGMA_Y.T @ mv @ I_SIGMA_Y)
-    det = float(np.linalg.det(m))
+    sign, logdet = map(float, np.linalg.slogdet(m))
     if is_pure(mv):
         require_physical(mv)
-        return WignerForm(m=m, norm=math.sqrt(det) / np.pi**2, degenerate=False)
-    if det <= 1e-12 * abs(float(np.prod(np.diag(m))) or 1.0):
+        return WignerForm(m=m, norm=math.sqrt(math.exp(logdet)) / np.pi**2, degenerate=False)
+    log_diag = np.linalg.slogdet(np.diag(np.diag(m)))[1]  # log |prod diag M|, no warning at 0
+    if sign <= 0.0 or logdet - log_diag <= math.log(1e-12):
         return WignerForm(m=m, norm=RAW_PREFACTOR, degenerate=True)
-    raise ValueError(f"covariance matrix is not that of a pure state: 16 det V = {det!r}")
+    raise ValueError(f"covariance matrix is not that of a pure state: log(16 det V) = {logdet!r}")
 
 
 def evaluate(wf: WignerForm, z) -> np.ndarray:

@@ -659,6 +659,32 @@ def test_szilard_rejects_mu_whose_inverse_overflows(capsys):
     assert (code, err) == (0, "")
 
 
+FAR_SQUEEZED = "--m1 1000 --m2 1 --w1 1 --w2 100 --theta 100 --eta 0 --mu 2.8e-309".split()
+
+
+@pytest.mark.filterwarnings("error")
+def test_szilard_far_squeezed_diagonal_measurement_answers(capsys):
+    """gamma = diag(1.4e-309, 1.8e308) is exact, and V2 + gamma is regular
+    though its diagonal product overflows: exit 0, det V1' = 1/4 to 4 u and
+    the log-det work equal to its closed form to 1e-12 (it exited 4 with
+    "V2 + gamma is singular (det = inf)")."""
+    code, out, err = run(capsys, ["szilard", *FAR_SQUEEZED])
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert abs(obj["det_after"] - 0.25) <= 4 * 2.0**-53  # 4 u, u the unit roundoff
+    assert obj["work"] == pytest.approx(obj["work_closed_form"], rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [[], ["--mu", "1e300"]], ids=["2.8e-309", "1e300"])
+def test_szilard_far_squeezed_tilted_measurement_exits_4(capsys, mu):
+    """Tilted, the same gamma loses its second LDL^T pivot to cancellation
+    (d = 0 at mu = 2.8e-309): exit 4 with one error line and no stdout."""
+    code, out, err = run(capsys, ["szilard", *FAR_SQUEEZED, *mu, "--angle", "0.7"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: V2 + gamma is singular (") and err.count("\n") == 1
+
+
 def test_szilard_work_past_float64_exits_3(capsys):
     """The true work here is ~2.75e308, past the largest double: exit 3
     naming work, and nothing on stdout (it printed "work":Infinity, which

@@ -235,8 +235,14 @@ def test_covariance_cross_moments_by_quadrature():
 
 
 def test_unphysical_covariance_rejected():
-    with pytest.raises(UnphysicalCovariance):
-        require_physical(0.1 * np.eye(4))
+    """One V and a stack take the same overflow-free |V|_F: at 1e200 the
+    squares of |V|_F overflow, and the single-matrix path divided by an
+    infinite norm and passed V.  V = 0 fails without a RuntimeWarning (the
+    pytest filter makes one an error)."""
+    wide = np.diag([1e200, -1e200, 1e200, 1e200])
+    for v in (0.1 * np.eye(4), wide, wide[None], np.zeros((4, 4)), np.zeros((2, 4, 4))):
+        with pytest.raises(UnphysicalCovariance):
+            require_physical(v)
 
 
 def test_physicality_bound_is_relative_to_the_size_of_v():

@@ -153,8 +153,11 @@ def test_simon_terms_of_one_matrix_equal_the_stack_path(rng):
 
 
 def test_simon_rejects_unphysical_covariance():
-    with pytest.raises(UnphysicalCovariance):
-        simon_report(0.1 * np.eye(4))
+    """At 1e200 the second V came back with margin NaN and verdicts
+    entangled (Simon) and separable (PPT)."""
+    for v in (0.1 * np.eye(4), np.diag([1e200, -1e200, 1e200, 1e200])):
+        with pytest.raises(UnphysicalCovariance):
+            simon_report(v)
 
 
 def test_classify_reasons():

@@ -21,9 +21,13 @@ from ncho import (
 )
 from ncho import symplectic
 from ncho.params import CommutativeParams
-from ncho.symplectic import I_SIGMA_Y, LADDER_METRIC, SIGMA_Y
+from ncho.symplectic import I_SIGMA_Y, SIGMA_Y
 
 from conftest import constraint_params, draw_params, hm_invariants, wide_probe
+
+
+# Sigma_z in the ladder basis: Q^-1 (-Sigma_y) (Q^-1)^dagger for bosonic modes
+LADDER_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
 
 
 def cp_of(*args, **kw):
@@ -229,7 +233,7 @@ def test_left_eigenvector_defining_relation(rng):
         sd = spectral_data(cp)
         om = build_omega(build_hamiltonian(cp))
         es = assemble_eigensystem(p, sd)
-        for u, lam in ((es.u1, sd.lambda1), (es.u2, sd.lambda2)):
+        for u, lam in ((es.q_inv[0], sd.lambda1), (es.q_inv[2], sd.lambda2)):
             res = np.linalg.norm(u @ om + 1j * lam * u) / (
                 np.linalg.norm(u) * np.linalg.norm(om)
             )
@@ -243,7 +247,7 @@ def test_left_eigenvector_sign_convention(rng):
     for p in draw_params(rng, 50):
         cp = to_commutative(p)
         es = assemble_eigensystem(p, spectral_data(cp))
-        for u in (es.u1, es.u2):
+        for u in es.q_inv[::2]:
             lead = next(c for c in u if abs(c) > 1e-12 * np.abs(u).max())
             if abs(lead.imag) > 1e-12 * abs(lead):
                 assert lead.imag > 0
@@ -274,10 +278,10 @@ def test_eigensystem_identity_matrices_explicitly():
         es.q_inv @ (-SIGMA_Y) @ es.q_inv.conj().T, LADDER_METRIC, atol=1e-13
     )
     # rows of q_inv are the eigenvectors and their conjugates
-    assert np.array_equal(es.q_inv[0], es.u1)
-    assert np.array_equal(es.q_inv[1], es.u1.conj())
+    assert np.array_equal(es.q_inv[1], es.q_inv[0].conj())
+    assert np.array_equal(es.q_inv[3], es.q_inv[2].conj())
     # columns of Q are v_i = -Sigma_y u_i^dagger
-    assert np.allclose(q[:, 0], -SIGMA_Y @ es.u1.conj())
+    assert np.allclose(q[:, 0], -SIGMA_Y @ es.q_inv[0].conj())
 
 
 def test_nan_residual_raises_singular_q(monkeypatch):
@@ -397,7 +401,7 @@ def test_kernel_matches_dense_eigenvectors(kind):
         sd = spectral_data(cp)
         omega = build_omega(build_hamiltonian(cp))
         es = assemble_eigensystem(p, sd)
-        rows = np.array([es.u1, es.u2])
+        rows = es.q_inv[::2]
 
         def kernel_agrees(want, tol):
             return all(np.linalg.norm(u - x) <= tol * np.linalg.norm(x) for u, x in zip(rows, want))
@@ -426,7 +430,7 @@ def test_decoupled_modes_split(rng):
         es = assemble_eigensystem(p, spectral_data(cp))
         assert es.residuals["max"] < 1e-9
         # each eigenvector occupies exactly one mode pair
-        for u in (es.u1, es.u2):
+        for u in es.q_inv[::2]:
             on1 = np.abs(u[:2]).max()
             on2 = np.abs(u[2:]).max()
             assert min(on1, on2) < 1e-9 * max(on1, on2)

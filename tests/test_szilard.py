@@ -191,6 +191,21 @@ def test_conditioning_shrinks_determinant(rng):
         assert np.linalg.det(cond) <= np.linalg.det(vm[:2, :2]) + 1e-15
 
 
+def test_far_squeezed_diagonal_measurement_is_regular():
+    """At mu = 2.8e-309 the product of V2 + gamma's diagonal passes float64,
+    though V2 + gamma is diagonal and regular: the LDL^T pivots decide on
+    d / G11 = 1 - G01^2 / (G00 G11), formed without that product, and
+    V1' keeps det V1' = 1/4.  The state is the far-squeezed point of
+    test_cli.py (it exited 4, "det = inf")."""
+    vm = covariance(ground_state(to_commutative(PhysicalParams(1000, 1, 1, 100, 100, 0)))).matrix
+    gamma = measurement_covariance(MeasurementSpec(mu=2.8e-309))
+    g = vm[2:, 2:] + gamma
+    with np.errstate(over="ignore"):
+        assert g[0, 0] * g[1, 1] == np.inf
+    (k00, k01), (k10, k11) = conditional_covariance(vm, gamma).tolist()
+    assert abs(k00 * k11 - k01 * k10 - 0.25) <= 4 * 2.0**-53  # 4 u, u the unit roundoff
+
+
 def test_singular_measurement_detected():
     vm = base_cov().matrix
     with pytest.raises(SingularMeasurement):

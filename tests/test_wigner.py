@@ -29,7 +29,7 @@ from ncho import (
     to_commutative,
     wigner_form,
 )
-from ncho.gaussian import covariance_matrix
+from ncho.gaussian import covariance_matrix, is_pure
 from ncho.wigner import RAW_PREFACTOR, evaluate
 
 from conftest import beam_splitter, draw_params, wide_probe
@@ -135,9 +135,13 @@ def test_wigner_form_rejects_foreign_covariance():
 
 
 def test_wigner_form_rejects_thermal_state():
-    """V = 1 passes Robertson-Schroedinger but is mixed: 2 M V = 4."""
-    with pytest.raises(ValueError):
-        wigner_form(np.eye(4))
+    """V = c passes Robertson-Schroedinger but is mixed: 2 M V = 4 c^2.  At
+    c = 1e100 det M and the product of M's diagonal both overflow; the form
+    came back degenerate, after two RuntimeWarnings (errors here)."""
+    for c in (1.0, 1e100):
+        assert not is_pure(c * np.eye(4))
+        with pytest.raises(ValueError):
+            wigner_form(c * np.eye(4))
 
 
 def test_wigner_form_rejects_unphysical_covariance_of_purity_determinant():
