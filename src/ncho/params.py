@@ -31,7 +31,9 @@ assumes it), and all six physical inputs are plain numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -147,6 +149,44 @@ def bopp_matrix(p: PhysicalParams) -> np.ndarray:
     )
 
 
+def _stacked_hypot(xs, ys) -> list:
+    """np.hypot of the pairs (xs[i], ys[i]) in one call, as Python floats;
+    FloatingPointError where the norm of all passes 2^1023 (or is NaN)."""
+    if not math.hypot(*xs, *ys) <= 2.0**1023:
+        raise FloatingPointError("hypot past float64")
+    return np.hypot(xs, ys).tolist()
+
+
+# sqrt and the stacked hypots: FLOATS for Python floats, ARRAYS for float64
+# arrays or scalars.  math.sqrt rounds as np.sqrt does, math.hypot does not
+FLOATS = SimpleNamespace(sqrt=math.sqrt, hypot=_stacked_hypot)
+ARRAYS = SimpleNamespace(sqrt=np.sqrt, hypot=lambda xs, ys: list(map(np.hypot, xs, ys)))
+
+
+def point(fn, p) -> list:
+    """fn(m1, m2, wt1, wt2, theta, eta, ns) at p as Python floats, equal bit
+    for bit to float64 arrays: on floats (ns = FLOATS), or where that
+    raises (a division by 0, a hypot past float64) on float64 scalars
+    under np.errstate (ns = ARRAYS), which give an array's inf or NaN."""
+    x = (p.m1, p.m2, p.wt1, p.wt2, p.theta, p.eta)
+    try:
+        return fn(*map(float, x), FLOATS)
+    except ArithmeticError:
+        with np.errstate(all="ignore"):
+            return [float(v) for v in fn(*map(np.float64, x), ARRAYS)]
+
+
+def _bopp_coefficients(m1, m2, wt1, wt2, theta, eta, ns) -> tuple:
+    """(mu1, mu2, w1, w2, nu1, nu2) by the factored forms of to_commutative."""
+    r12 = ns.sqrt(m1) * ns.sqrt(m2)
+    c1, c2, e = 0.5 * theta * wt2 * r12, 0.5 * theta * wt1 * r12, 0.5 * eta / r12
+    h1, h2, k1, k2 = ns.hypot((1.0, 1.0, wt1, wt2), (c1, c2, e, e))
+    w1, w2 = ns.hypot((k1, k2), (k1 * c1, k2 * c2))
+    nu1 = 0.25 * eta / m1 + 0.25 * (theta * wt2) * (m2 * wt2)
+    nu2 = 0.25 * eta / m2 + 0.25 * (theta * wt1) * (m1 * wt1)
+    return m1 / h1 / h1, m2 / h2 / h2, w1, w2, nu1, nu2
+
+
 def to_commutative(p: PhysicalParams) -> CommutativeParams:
     """Map physical inputs to the effective commutative parameters.
 
@@ -164,15 +204,8 @@ def to_commutative(p: PhysicalParams) -> CommutativeParams:
     sqrt(m1 m2) / 2, mu1 = m1 / (1 + c1^2) and w1 = hypot(wt1, eta / (2
     sqrt(m1 m2))) hypot(1, c1): no factor leaves float64 where mu1 or w1
     does not (mode 2 likewise), nor one of the two terms of nu1 or nu2.
-    The fields of p are floats: the six hypots run as two numpy calls on
-    stacked pairs.
+    The fields are Python floats (point), the six hypots two np.hypot calls
+    on stacked pairs; a field past float64 comes out 0 or inf.
     """
     validate(p)
-    with np.errstate(all="ignore"):  # a field past float64 comes out 0 or inf
-        r12 = np.sqrt(p.m1) * np.sqrt(p.m2)
-        c1, c2, e = 0.5 * p.theta * p.wt2 * r12, 0.5 * p.theta * p.wt1 * r12, 0.5 * p.eta / r12
-        h1, h2, k1, k2 = np.hypot((1.0, 1.0, p.wt1, p.wt2), (c1, c2, e, e))
-        nu1 = 0.25 * p.eta / p.m1 + 0.25 * (p.theta * p.wt2) * (p.m2 * p.wt2)
-        nu2 = 0.25 * p.eta / p.m2 + 0.25 * (p.theta * p.wt1) * (p.m1 * p.wt1)
-        w1, w2 = np.hypot((k1, k2), (k1 * c1, k2 * c2))
-        return CommutativeParams(p.m1 / h1 / h1, p.m2 / h2 / h2, w1, w2, nu1, nu2, physical=p)
+    return CommutativeParams(*point(_bopp_coefficients, p), physical=p)

@@ -37,14 +37,16 @@ relations, the ladder identity).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, SingularQ
-from .params import CommutativeParams, PhysicalParams
+from .params import ARRAYS, CommutativeParams, PhysicalParams, point
 
 # Pauli y in each mode block, ordering (x1,p1,x2,p2)
 SIGMA_Y = np.kron(np.eye(2), [[0.0, -1.0j], [1.0j, 0.0]])
@@ -78,6 +80,25 @@ def _bopp_defect(theta, eta):
     return (1.0 - 0.25 * t) - 0.25 * err
 
 
+def _forms(m1, m2, wt1, wt2, theta, eta, ns) -> tuple:
+    """The fields of ClosedForms; sqrt and the three hypots come from ns."""
+    k = _bopp_defect(theta, eta)
+    h = 2.0 - k
+    r1, r2, v1, v2 = ns.sqrt(m1), ns.sqrt(m2), ns.sqrt(wt1), ns.sqrt(wt2)
+    rho, a1, a2 = v1 * v2, r1 * v1, r2 * v2
+    th = theta * (a1 * a2)
+    a02, a13 = rho * th, eta / (r1 * r2)
+    wsum, wdif = wt1 + wt2, wt1 - wt2
+    sigma, delta, hth = ns.hypot((wsum * h, wdif * h, 1.0), (abs(a02 - a13), a02 + a13, 0.5 * th))
+    rk = rho * k
+    lam1 = 0.5 * sigma + 0.5 * delta
+    g = ns.sqrt(sigma) / ns.sqrt(2.0 * wsum) / hth
+    q1, q2 = a1 * g, a2 * g
+    r = (a13 - a02) / sigma * (0.5 * wdif / rho)
+    return (wt1 * h, wt2 * h, a02, a13, h, k, sigma, delta, lam1, rk / lam1 * rk,
+            q1 * q1, q2 * q2, 2.0 * r * (q1 * q2), r, r * r)
+
+
 def closed_forms(p: PhysicalParams) -> ClosedForms:
     """The spectrum and ground state of p (module docstring's notation):
 
@@ -91,29 +112,15 @@ def closed_forms(p: PhysicalParams) -> ClosedForms:
     Past th - et and wt1 - wt2, the factors whose zeros are the separable
     surfaces, each is a product, quotient or hypot: a few ulps at any
     scale, with no factor past float64 where the value is not (rho th is
-    theta rho a1 a2, rho et is eta / (sqrt(m1) sqrt(m2))).  Floats and
-    float64 arrays of one shape go through the same numpy calls, so a scan
-    row equals its point bit for bit.  Nothing is checked (spectral_data
-    gates), and callers run it under np.errstate.
+    theta rho a1 a2, rho et is eta / (sqrt(m1) sqrt(m2))).  One text serves
+    float64 arrays of one shape (numpy, under the caller's np.errstate)
+    and a point, on Python floats (params.point) equal to its entries in
+    an array bit for bit.  Nothing is checked (spectral_data gates).
     """
-    k = _bopp_defect(p.theta, p.eta)
-    h = 2.0 - k
-    r1, r2, v1, v2 = np.sqrt(p.m1), np.sqrt(p.m2), np.sqrt(p.wt1), np.sqrt(p.wt2)
-    rho, a1, a2 = v1 * v2, r1 * v1, r2 * v2
-    th = p.theta * (a1 * a2)
-    a02, a13 = rho * th, p.eta / (r1 * r2)
-    wsum, wdif = p.wt1 + p.wt2, p.wt1 - p.wt2
-    sigma = np.hypot(wsum * h, abs(a02 - a13))
-    delta = np.hypot(wdif * h, a02 + a13)
-    rk = rho * k
-    lam1 = 0.5 * sigma + 0.5 * delta
-    g = np.sqrt(sigma) / np.sqrt(2.0 * wsum) / np.hypot(1.0, 0.5 * th)
-    q1, q2 = a1 * g, a2 * g
-    r = (a13 - a02) / sigma * (0.5 * wdif / rho)
-    return ClosedForms(
-        p.wt1 * h, p.wt2 * h, a02, a13, h, k, sigma, delta,
-        lam1, rk / lam1 * rk, q1 * q1, q2 * q2, 2.0 * r * (q1 * q2), r, r * r,
-    )
+    x = (p.m1, p.m2, p.wt1, p.wt2, p.theta, p.eta)
+    if any(map(np.ndim, x)):
+        return ClosedForms(*_forms(*x, ARRAYS))
+    return ClosedForms(*point(_forms, p))
 
 
 # a collision below this delta/sigma: Delta/b^2 < 1e-10 restated, as
@@ -130,6 +137,7 @@ PURITY_TOL = 1e-9
 # this s: no stage that reads V (purity, the Wigner norm, det V1' = 1/4) holds
 CORRELATION_MAX = PURITY_TOL / (8.0 * 2.0**-52)
 MOMENTS = ("<x1^2>", "<p1^2>", "<x2^2>", "<p2^2>", "<x1 p2>", "<p1 x2>")
+RANGED = ("lambda1", "lambda2") + MOMENTS
 
 
 def moments(l11, l22, y) -> tuple:
@@ -142,32 +150,22 @@ def moments(l11, l22, y) -> tuple:
     return 0.25 / l11, l11 - y * p1x2, 0.25 / l22, l22 - y * x1p2, x1p2, p1x2
 
 
-def _ranged(f: ClosedForms) -> list:
-    """(name, value, inside) of what must be a float64 number: the
-    frequencies and V's moments, by the function covariance_matrix reads,
-    so V is one past the gates.  inside is elementwise: finite, and > 0
-    but for the cross moments; NaN fails."""
-    values = (f.lambda1, f.lambda2) + moments(f.l11, f.l22, f.y)
-    return [(n, v, abs(v) < np.inf if n in MOMENTS[4:] else (v > 0.0) & (v < np.inf))
-            for n, v in zip(("lambda1", "lambda2") + MOMENTS, values)]
-
-
 def gates(f: ClosedForms) -> tuple:
     """(name, fires, detail) of the four gates of spectral_data, in order:
     fires is elementwise (a NaN fires the range gate alone), detail()
-    gives the gate's value at a float point.  lambda1 bounds sigma and
-    delta, so the range gate covers every output that a later stage reads.
-    Each gate compares a ratio with its tolerance, never the tolerance
-    times a scale, which underflows at subnormal sigma."""
-    ranged = _ranged(f)
-    inside = True
-    for _, _, ok in ranged:
-        inside = inside & ok
+    gives the gate's value at a float point.  The range gate holds the
+    frequencies and V's moments (by covariance_matrix's function) finite,
+    and > 0 but the cross moments; lambda1 bounds sigma and delta, so it
+    covers every output a later stage reads.  Each gate compares a ratio
+    with its tolerance, never the tolerance times a scale, which
+    underflows at subnormal sigma."""
+    values = (f.lambda1, f.lambda2) + moments(f.l11, f.l22, f.y)
+    ok = [(v > 0.0) & (v < math.inf) for v in values[:6]] + [abs(v) < math.inf for v in values[6:]]
     return (
         ("singular Bopp map (theta eta = 4)", abs(f.k) / f.h <= SINGULAR_TOL,
          lambda: f"|k|/h = {abs(f.k) / f.h:.6e} <= {SINGULAR_TOL:.6e}"),
-        ("out of float64 range", np.logical_not(inside),
-         lambda: "%s = %r" % next((n, float(v)) for n, v, ok in ranged if not ok)),
+        ("out of float64 range", functools.reduce(operator.and_, ok) ^ True,  # not all ok
+         lambda: "%s = %r" % next((n, float(v)) for n, v, o in zip(RANGED, values, ok) if not o)),
         ("normal modes collide", f.delta / f.sigma < COLLISION_TOL,
          lambda: f"delta/sigma = {f.delta / f.sigma:.6e} < {COLLISION_TOL:.6e}"),
         ("correlation past float64 resolution", f.s > CORRELATION_MAX,
@@ -177,10 +175,7 @@ def gates(f: ClosedForms) -> tuple:
 
 def degenerate(f: ClosedForms):
     """Whether any gate of spectral_data fires.  Elementwise."""
-    out = False
-    for _, fires, _ in gates(f):
-        out = out | fires
-    return out
+    return functools.reduce(operator.or_, [fires for _, fires, _ in gates(f)])
 
 
 @dataclass(frozen=True)
@@ -222,68 +217,74 @@ def build_omega(hm: np.ndarray) -> np.ndarray:
     return I_SIGMA_Y @ hm
 
 
+def _first_gate(f: ClosedForms) -> str | None:
+    """The message "name: value" of the first gate that fires at f, or None."""
+    return next((f"{name}: {detail()}" for name, fires, detail in gates(f) if fires), None)
+
+
 def spectral_data(cp: CommutativeParams) -> ClosedForms:
     """closed_forms(p) of cp = to_commutative(p), past the gates: the
     spectrum lambda1 >= lambda2 > 0 and the ground state's coefficients,
-    as float64 scalars, for the later stages to read.
+    as Python floats, for the later stages to read.
 
     Raises DegenerateSpectrum at the singular Bopp map, where a frequency
     or a moment of V leaves float64, where the modes collide and where the
     correlation s passes CORRELATION_MAX, gated in that order; the message
-    names the gate and its value.  A CommutativeParams built by hand does
-    not carry p and raises TypeError.
+    names the gate and its value.  Where a moment divides by an l11 or l22
+    that underflowed to 0, the gates run on float64 scalars, which give
+    the inf of an array.  A CommutativeParams built by hand does not carry
+    p and raises TypeError.
     """
     p = cp.physical
     if p is None:
         raise TypeError("spectral_data needs the record of to_commutative(p), which keeps p")
-    with np.errstate(all="ignore"):  # the gates reject what overflowed
-        f = closed_forms(p)
-        for name, fires, detail in gates(f):
-            if fires:
-                raise DegenerateSpectrum(f"{name}: {detail()}")
+    f = ClosedForms(*point(_forms, p))
+    try:
+        message = _first_gate(f)
+    except ZeroDivisionError:
+        with np.errstate(all="ignore"):
+            message = _first_gate(f._make(map(np.float64, f)))
+    if message:
+        raise DegenerateSpectrum(message)
     return f
 
 
-_EYE = np.eye(4, dtype=complex)
-
-
-def _mode_rows(p: PhysicalParams, f: ClosedForms) -> np.ndarray:
-    """Rows (u1, u1*, u2, u2*, e1, e1*, e2, e2*): u_i Omega = -i lambda_i u_i,
-    A e_i = i lambda_i e_i, |e_i| = 1; on floats, DegenerateSpectrum if u
-    leaves float64.  A+- scaled to A+-^2 = -1 have first rows p = (A01 +
-    A23, A02 - A13) / sigma, q = (A01 - A23, A02 + A13) / delta, and
-    (1 - i A+)(1 - i s A-) = 4 e e^dagger is quadratic in g = p + s q and
-    h = p - s q.  Of p1 +- q1 one sums terms of one sign, the other is gap /
-    (that one), gap = p1^2 - q1^2 = q2^2 - p2^2 >= 0 in factored form; so
-    for p2 +- q2: nothing cancels where lambda2 << lambda1 makes p ~ q.  e
-    is the largest-diagonal column over 2 sqrt(its diagonal entry); e and u
-    take the phase that makes u's first significant entry positive imaginary.
-    """
-    sigma, delta, l1, l2 = map(float, (f.sigma, f.delta, f.lambda1, f.lambda2))
-    a01, a23, a02, a13 = (float(x) / sigma for x in (f.a01, f.a23, f.a02, f.a13))
+def _mode_rows(p: PhysicalParams, f: ClosedForms) -> tuple:
+    """(Q^-1, ((x1, y1), (x2, y2))): Q^-1 has the rows (u1, u1*, u2, u2*),
+    u_i Omega = -i lambda_i u_i, and e_i = x_i + i y_i (x_i, y_i four
+    floats) are the unit rows, A e_i = i lambda_i e_i.  On floats;
+    DegenerateSpectrum if u leaves float64.  A+- scaled to A+-^2 = -1 have
+    first rows p = (A01 + A23, A02 - A13) / sigma, q = (A01 - A23, A02 +
+    A13) / delta, and (1 - i A+)(1 - i s A-) = 4 e e^dagger is quadratic
+    in g = p + s q and h = p - s q.  Of p1 +- q1 one sums terms of one
+    sign, the other is gap / (that one), gap = p1^2 - q1^2 = q2^2 - p2^2
+    >= 0 in factored form; so for p2 +- q2: nothing cancels where lambda2
+    << lambda1 makes p ~ q.  e is the largest-diagonal column over
+    2 sqrt(its diagonal entry); e and u take the phase that makes u's
+    first significant entry positive imaginary."""
+    sigma, delta = f.sigma, f.delta
+    a01, a23, a02, a13 = f.a01 / sigma, f.a23 / sigma, f.a02 / sigma, f.a13 / sigma
     p1, p2 = a01 + a23, a02 - a13
-    q1, q2 = float(f.h) * (p.wt1 - p.wt2) / delta, float(f.a02 + f.a13) / delta
+    q1, q2 = f.h * (p.wt1 - p.wt2) / delta, (f.a02 + f.a13) / delta
     gap = 2.0 * (min(a01, a23) * q2 + abs(q1) * min(a02, a13)) * (p1 * q2 + abs(q1 * p2))
     s1, d1, s2, d2 = p1 + q1, p1 - q1, p2 + q2, p2 - q2  # one of each pair cancels
     plus1, minus1 = (s1, gap / s1) if q1 >= 0.0 else (gap / d1, d1)
     plus2, minus2 = (s2, -gap / s2 if s2 else 0.0) if p2 >= 0.0 else (-gap / d2, d2)
     r1, r2 = math.sqrt(p.m1), math.sqrt(p.m2)
-    d_half = (r1 * p.wt1, 1.0 / r1, r2 * p.wt2, 1.0 / r2)
+    d0, d1, d2, d3 = r1 * p.wt1, 1.0 / r1, r2 * p.wt2, 1.0 / r2  # D^1/2
     a, b = p.theta / 2.0, p.eta / 2.0  # the Bopp matrix T
     us, es = [], []
     plus, minus = (plus1, plus2), (minus1, minus2)
-    for (g1, g2), (h1, h2), lam in ((plus, minus, l1), (minus, plus, l2)):
+    for (g1, g2), (h1, h2), lam in ((plus, minus, f.lambda1), (minus, plus, f.lambda2)):
         cross, dot = 0.5 * (h1 * g2 - g1 * h2), 0.5 * (g1 * g2 - h1 * h2)
         diag = [0.5 * (g1 * g1 + g2 * g2), 0.5 * (g1 * g1 + h2 * h2),
                 0.5 * (h1 * h1 + g2 * g2), 0.5 * (h1 * h1 + h2 * h2)]
         j = diag.index(max(diag))
-        column = (
-            (diag[0], 1j * g1, 1j * g2, -cross),
-            (-1j * g1, diag[1], dot, -1j * h2),
-            (-1j * g2, dot, diag[2], 1j * h1),
-            (-cross, 1j * h2, -1j * h1, diag[3]),
-        )[j]
-        w0, w1, w2, w3 = (c * d for c, d in zip(column, d_half))
+        column = ((diag[0], 1j * g1, 1j * g2, -cross) if j == 0 else
+                  (-1j * g1, diag[1], dot, -1j * h2) if j == 1 else
+                  (-1j * g2, dot, diag[2], 1j * h1) if j == 2 else
+                  (-cross, 1j * h2, -1j * h1, diag[3]))
+        w0, w1, w2, w3 = column[0] * d0, column[1] * d1, column[2] * d2, column[3] * d3
         row = [w0 - b * w3, w1 + a * w2, b * w1 + w2, w3 - a * w0]
         try:
             size = [abs(c) for c in row]
@@ -298,46 +299,58 @@ def _mode_rows(p: PhysicalParams, f: ClosedForms) -> np.ndarray:
         unit /= math.sqrt(lam)
         u = [c * unit for c in row]
         us += [u, [c.conjugate() for c in u]]
-        es += [e, [c.conjugate() for c in e]]
+        es.append(([c.real for c in e], [c.imag for c in e]))
     if not all(map(cmath.isfinite, us[0] + us[2])):
         raise DegenerateSpectrum("out of float64 range: eigenvector rows u")
-    return np.array(us + es)
+    return np.array(us), es
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """Frobenius norm of m, as a Python float."""
-    return math.sqrt(np.vdot(m, m).real)
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
-def assemble_eigensystem(
-    p: PhysicalParams,
-    f: ClosedForms,
-    *,
-    tol: float = 1e-9,
-) -> EigenSystem:
+def _residuals(f: ClosedForms, e1, e2) -> dict:
+    """The residuals of assemble_eigensystem from A / sigma and the unit rows
+    e_i = x_i + i y_i, on floats: |A e - i lambda e|^2 = |A x + lambda y|^2
+    + |A y - lambda x|^2; an entry of P A P^dagger or P P^dagger is -2i x^T A y
+    (e^T A e = 0) or, cross-mode, a value u^T A v or u^T v over (x1, y1, x2, y2)."""
+    a01, a23, a02, a13 = f.a01 / f.sigma, f.a23 / f.sigma, f.a02 / f.sigma, f.a13 / f.sigma
+    s1, s2 = f.lambda1 / f.sigma, f.lambda2 / f.sigma
+    (x1, y1), (x2, y2) = e1, e2
+    ax1, ay1, ax2, ay2 = [  # A x1, A y1, A x2, A y2
+        (a01 * v1 + a02 * v2, a13 * v3 - a01 * v0, a23 * v3 - a02 * v0, -a13 * v1 - a23 * v2)
+        for v0, v1, v2, v3 in (x1, y1, x2, y2)
+    ]
+    xx1, yy1, xx2, yy2 = _dot(x1, x1), _dot(y1, y1), _dot(x2, x2), _dot(y2, y2)
+    n_a = math.sqrt(2.0) * math.hypot(a01, a23, a02, a13)
+    eig1 = [a + s1 * b for a, b in zip(ax1, y1)] + [a - s1 * b for a, b in zip(ay1, x1)]
+    eig2 = [a + s2 * b for a, b in zip(ax2, y2)] + [a - s2 * b for a, b in zip(ay2, x2)]
+    return {
+        "eigvec_1": math.hypot(*eig1) / (math.sqrt(xx1 + yy1) * n_a),
+        "eigvec_2": math.hypot(*eig2) / (math.sqrt(xx2 + yy2) * n_a),
+        "diagonalization": math.hypot(
+            s1 - 2.0 * _dot(x1, ay1), s2 - 2.0 * _dot(x2, ay2), 2.0 * _dot(x1, ax2),
+            2.0 * _dot(y1, ay2), 2.0 * _dot(x1, ay2), 2.0 * _dot(y1, ax2),
+        ) / math.hypot(s1, s2),
+        "ladder": math.hypot(  # |e|^2 - 1 and e e^T per mode, then the cross-mode e1 e2
+            xx1 + yy1 - 1.0, xx1 - yy1, 2.0 * _dot(x1, y1), xx2 + yy2 - 1.0, xx2 - yy2,
+            2.0 * _dot(x2, y2), 2.0 * _dot(x1, x2), 2.0 * _dot(y1, y2), 2.0 * _dot(x1, y2),
+            2.0 * _dot(y1, x2),
+        ) / math.sqrt(2.0),
+    }
+
+
+def assemble_eigensystem(p: PhysicalParams, f: ClosedForms, *, tol: float = 1e-9) -> EigenSystem:
     """Build Q^-1 (the rows u1, u1*, u2, u2*) for f = spectral_data(
     to_commutative(p)), verifying the identities on A / sigma and
     P = (e1, e1*, e2, e2*): eigvec_i = |A e_i - i lambda_i e_i| / (|A| |e_i|),
     diagonalization = |P A P^dagger - Omega_D| / |Omega_D|, ladder =
     |P P^dagger - 1| / 2 (Frobenius norms), Omega_D = diag(-i l1, +i l1,
-    -i l2, +i l2).  SingularQ when residuals["max"] exceeds tol or is NaN.
+    -i l2, +i l2), on floats with no matrix formed (_residuals).  SingularQ
+    when residuals["max"] exceeds tol or is NaN.
     """
-    rows = _mode_rows(p, f)
-    q_inv, pe = rows[:4], rows[4:]
-    scale = float(f.sigma)
-    s1, s2 = float(f.lambda1) / scale, float(f.lambda2) / scale
-    a01, a23, a02, a13 = (float(x) / scale for x in (f.a01, f.a23, f.a02, f.a13))
-    a = np.array([[0, a01, a02, 0], [-a01, 0, 0, a13], [-a02, 0, 0, a23], [0, -a13, -a23, 0]])
-    pe_h = pe.conj().T
-    w = pe @ a  # rows 0 and 2 are e1^T A = -i l1 e1^T and e2^T A, over sigma
-    n_a = _frobenius(a)
-    omega_d = np.diag([-1.0j * s1, 1.0j * s1, -1.0j * s2, 1.0j * s2])  # over sigma
-    residuals = {
-        "eigvec_1": _frobenius(w[0] + 1.0j * s1 * pe[0]) / (_frobenius(pe[0]) * n_a),
-        "eigvec_2": _frobenius(w[2] + 1.0j * s2 * pe[2]) / (_frobenius(pe[2]) * n_a),
-        "diagonalization": _frobenius(w @ pe_h - omega_d) / math.sqrt(2.0 * (s1 * s1 + s2 * s2)),
-        "ladder": _frobenius(pe @ pe_h - _EYE) / 2.0,
-    }
+    q_inv, (e1, e2) = _mode_rows(p, f)
+    residuals = _residuals(f, e1, e2)
     # a NaN residual ranks above every number, so it fails the check
     worst = residuals["max"] = max(residuals.values(), key=lambda r: (r != r, r))
     if not worst <= tol:

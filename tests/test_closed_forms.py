@@ -23,11 +23,14 @@ from ncho import (
     NchoError,
     PhysicalParams,
     analyze,
+    classify,
     extractable_work,
+    spectral_data,
     to_commutative,
     wigner_form,
 )
 from ncho.gaussian import covariance_matrix
+from ncho.params import ARRAYS, _bopp_coefficients
 from ncho.symplectic import closed_forms, gates
 
 from conftest import corner_grid, extreme_grid, outside_float64
@@ -283,3 +286,63 @@ def test_every_range_exit_is_true(grid_outcomes):
     assert len(exits) == 268
     for p in exits:
         assert outside_float64(p), p
+
+
+def _bits(x):
+    """The float64 bit pattern of x, with every NaN read as one."""
+    return "nan" if x != x else np.float64(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("sample", ["corner_grid", "log_u_1e308"])
+def test_float_path_equals_array_path(sample):
+    """Each point once on Python floats (closed_forms, spectral_data and
+    to_commutative of the point) and once inside one 1-D array of all the
+    points (closed_forms and the Bopp coefficients on arrays, as scan runs
+    them): every field is a Python float equal to its array entry bit for
+    bit, and where degenerate() fires on the array spectral_data raises
+    the first gate that fires there, by name.  No other error and no
+    RuntimeWarning: the float path reaches inf and NaN where a division
+    by an underflowed r1 r2, l11 or lambda1 raises, through the numpy
+    route."""
+    points = corner_grid() if sample == "corner_grid" else log_u_draws(9, 3000, 1e-308, 1e308)
+    columns = [np.array(c) for c in zip(*(vars(p).values() for p in points))]
+    with np.errstate(all="ignore"):  # as in scan; the gates reject what overflowed
+        fa = closed_forms(PhysicalParams(*columns))
+        fired = [(name, fires) for name, fires, _ in gates(fa)]
+        bopp = _bopp_coefficients(*columns, ARRAYS)
+    gated = 0
+    for i, p in enumerate(points):
+        f = closed_forms(p)
+        assert all(type(v) is float for v in f), p
+        assert list(map(_bits, f)) == [_bits(v[i]) for v in fa], p
+        cp = to_commutative(p)
+        got = (cp.mu1, cp.mu2, cp.w1, cp.w2, cp.nu1, cp.nu2)
+        assert all(type(v) is float for v in got), p
+        assert list(map(_bits, got)) == [_bits(v[i]) for v in bopp], p
+        gate = next((name for name, fires in fired if fires[i]), None)
+        if gate is None:
+            assert list(map(_bits, spectral_data(cp))) == list(map(_bits, f)), p
+            continue
+        gated += 1
+        with pytest.raises(DegenerateSpectrum, match=f"^{gate}:"):
+            spectral_data(cp)
+    assert 0 < gated < len(points)
+
+
+@pytest.mark.parametrize("stage", ["to_commutative", "spectral_data", "analyze", "classify"])
+def test_records_print_plain_floats(stage):
+    """The per-point records hold Python floats: their repr shows no
+    np.float64(...), next to plain floats, on generic, constraint and
+    theta = eta = 0 points."""
+    for p in (
+        PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.4),
+        PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.3 * 1.0 * 1.0 * 1.5 * 2.0),
+        PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.0, 0.0),
+    ):
+        record = {
+            "to_commutative": lambda: to_commutative(p),
+            "spectral_data": lambda: spectral_data(to_commutative(p)),
+            "analyze": lambda: analyze(p),
+            "classify": lambda: classify(p),
+        }[stage]()
+        assert "np.float64" not in repr(record), record

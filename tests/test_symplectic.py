@@ -289,9 +289,9 @@ def test_nan_residual_raises_singular_q(monkeypatch):
     the check must still fail (Python's max would keep the finite one)."""
     p = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.4)
     cp = to_commutative(p)
-    rows = symplectic._mode_rows(p, spectral_data(cp))
-    rows[6, 0] = rows[7, 0] = np.nan  # e2 and its conjugate
-    monkeypatch.setattr(symplectic, "_mode_rows", lambda p, f: rows)
+    q_inv, (e1, (x2, y2)) = symplectic._mode_rows(p, spectral_data(cp))
+    x2[0] = np.nan  # the real part of e2's first entry
+    monkeypatch.setattr(symplectic, "_mode_rows", lambda p, f: (q_inv, (e1, (x2, y2))))
     with pytest.raises(SingularQ, match="nan"):
         assemble_eigensystem(p, spectral_data(cp))
 
@@ -301,11 +301,80 @@ def test_swapped_mode_rows_raise_singular_q(monkeypatch):
     modes 1 and 2 swapped."""
     p = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.4)
     cp = to_commutative(p)
-    rows = symplectic._mode_rows(p, spectral_data(cp))[[2, 3, 0, 1, 6, 7, 4, 5]]
-    assert np.isfinite(rows).all()
+    q_inv, (e1, e2) = symplectic._mode_rows(p, spectral_data(cp))
+    assert np.isfinite(q_inv).all() and np.isfinite([e1, e2]).all()
+    rows = q_inv[[2, 3, 0, 1]], (e2, e1)
     monkeypatch.setattr(symplectic, "_mode_rows", lambda p, f: rows)
     with pytest.raises(SingularQ):
         assemble_eigensystem(p, spectral_data(cp))
+
+
+def complex_residuals(f, e1, e2):
+    """The identity residuals of assemble_eigensystem by their complex
+    matrix definitions: A / sigma as a 4x4 array, P = (e1, e1*, e2, e2*),
+    np.linalg.norm of A e - i lambda e, P A P^dagger - Omega_D and
+    P P^dagger - 1."""
+    a01, a23, a02, a13 = (x / f.sigma for x in (f.a01, f.a23, f.a02, f.a13))
+    a = np.array([[0, a01, a02, 0], [-a01, 0, 0, a13], [-a02, 0, 0, a23], [0, -a13, -a23, 0]])
+    s1, s2 = f.lambda1 / f.sigma, f.lambda2 / f.sigma
+    u1, u2 = (np.array(x) + 1j * np.array(y) for x, y in (e1, e2))
+    pe = np.array([u1, u1.conj(), u2, u2.conj()])
+    omega_d = np.diag([-1j * s1, 1j * s1, -1j * s2, 1j * s2])
+    n_a = np.linalg.norm(a)
+    return {
+        "eigvec_1": np.linalg.norm(a @ u1 - 1j * s1 * u1) / (np.linalg.norm(u1) * n_a),
+        "eigvec_2": np.linalg.norm(a @ u2 - 1j * s2 * u2) / (np.linalg.norm(u2) * n_a),
+        "diagonalization": np.linalg.norm(pe @ a @ pe.conj().T - omega_d) / np.linalg.norm(omega_d),
+        "ladder": np.linalg.norm(pe @ pe.conj().T - np.eye(4)) / 2.0,
+    }
+
+
+def _scaled(e, c):
+    return [v * c for v in e[0]], [v * c for v in e[1]]
+
+
+def _rotated(e, j, phi):
+    """e with its component j multiplied by exp(i phi)."""
+    x, y = list(e[0]), list(e[1])
+    x[j], y[j] = (x[j] * np.cos(phi) - y[j] * np.sin(phi), x[j] * np.sin(phi) + y[j] * np.cos(phi))
+    return x, y
+
+
+@pytest.mark.parametrize("fault", ["scaled", "rotated", "swapped"])
+def test_real_form_kernel_catches_wrong_eigenvectors(fault, monkeypatch):
+    """Unit rows with a known fault: e1 scaled by 1 + 1e-6, e2's largest
+    component turned by 1e-6 rad in phase, or the two modes swapped.  The
+    real-form kernel gives each residual as the complex matrix
+    definitions do (to 1e-6 of the fault's size), the largest of them of
+    the injected size (about the fault itself: sqrt(2) 1e-6 on the
+    ladder for the scaled row), and assemble_eigensystem raises SingularQ
+    past tol.  The exact rows read within 4 eps in both forms."""
+    p = PhysicalParams(1.0, 1.5, 1.0, 2.0, 0.3, 0.4)
+    f = spectral_data(to_commutative(p))
+    q_inv, (e1, e2) = symplectic._mode_rows(p, f)
+    eps = np.finfo(float).eps
+    assert max(symplectic._residuals(f, e1, e2).values()) <= 4 * eps
+    assert max(complex_residuals(f, e1, e2).values()) <= 4 * eps
+    size = 1e-6
+    if fault == "scaled":
+        e1 = _scaled(e1, 1.0 + size)
+    elif fault == "rotated":
+        j = int(np.argmax(np.hypot(*e2)))
+        e2 = _rotated(e2, j, size)
+    else:
+        e1, e2, size = e2, e1, 1.0
+    got, want = symplectic._residuals(f, e1, e2), complex_residuals(f, e1, e2)
+    for name in want:
+        assert abs(got[name] - want[name]) <= 1e-6 * size, name
+    assert size / 4 <= max(got.values()) <= 4 * size
+    if fault == "scaled":
+        assert got["ladder"] == pytest.approx(np.sqrt(2.0) * size, rel=1e-5)
+        assert got["eigvec_1"] <= 4 * eps  # a scaled eigenvector is one
+    monkeypatch.setattr(symplectic, "_mode_rows", lambda p, f: (q_inv, (e1, e2)))
+    with pytest.raises(SingularQ):
+        assemble_eigensystem(p, f)
+    if fault != "swapped":
+        assert assemble_eigensystem(p, f, tol=8 * size).residuals["max"] == max(got.values())
 
 
 def dense_rows(omega, sd):
