@@ -5,8 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import __version__
-from .gaussian import CovarianceMatrix, GroundState, covariance, ground_state, variance_products
-from .params import CommutativeParams, PhysicalParams, effective_planck, to_commutative, validate
+from .gaussian import (
+    CovarianceMatrix,
+    GroundState,
+    covariance,
+    ground_state,
+    variance_products,
+)
+from .params import (
+    CommutativeParams,
+    PhysicalParams,
+    effective_planck,
+    to_commutative,
+    validate,
+)
 from .separability import SeparabilityReport, _reason, _simon_report, inputs_obj, json_text
 from .symplectic import ClosedForms, EigenSystem, assemble_eigensystem, spectral_data
 
@@ -35,11 +47,18 @@ class AnalysisReport:
         """
         return {
             "version": __version__,
-            "tolerances": {"identity": self.tol, "eps_sep": self.eps_sep, "eps_c": self.eps_c},
+            "tolerances": {
+                "identity": self.tol,
+                "eps_sep": self.eps_sep,
+                "eps_c": self.eps_c,
+            },
             "inputs": inputs_obj(self.params),
             "effective_planck": self.hbar_e,
             "commutative": _fields_obj(self.commutative),
-            "spectral": {"lambda1": self.spectral.lambda1, "lambda2": self.spectral.lambda2},
+            "spectral": {
+                "lambda1": self.spectral.lambda1,
+                "lambda2": self.spectral.lambda2,
+            },
             "residuals": dict(self.eigensystem.residuals),
             "ground_state": _fields_obj(self.ground),
             "covariance": self.cov.matrix.tolist(),
@@ -58,7 +77,11 @@ def _fields_obj(record) -> dict:
 
 
 def analyze(
-    p: PhysicalParams, *, tol: float = 1e-9, eps_sep: float = 1e-12, eps_c: float = 1e-12
+    p: PhysicalParams,
+    *,
+    tol: float = 1e-9,
+    eps_sep: float = 1e-12,
+    eps_c: float = 1e-12,
 ) -> AnalysisReport:
     """Run the whole pipeline on one parameter point.
 
@@ -75,7 +98,16 @@ def analyze(
     cov = covariance(gs)
     rep = _simon_report(cov.matrix, eps_sep, ppt=True, reason=_reason(p, f, eps_c))
     return AnalysisReport(
-        params=p, hbar_e=effective_planck(p), commutative=cp, spectral=f, eigensystem=es,
-        ground=gs, cov=cov, variance=variance_products(gs), separability=rep,
-        tol=tol, eps_sep=eps_sep, eps_c=eps_c,
+        params=p,
+        hbar_e=effective_planck(p),
+        commutative=cp,
+        spectral=f,
+        eigensystem=es,
+        ground=gs,
+        cov=cov,
+        variance=variance_products(gs),
+        separability=rep,
+        tol=tol,
+        eps_sep=eps_sep,
+        eps_c=eps_c,
     )

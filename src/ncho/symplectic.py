@@ -112,15 +112,13 @@ def closed_forms(p: PhysicalParams) -> ClosedForms:
     Past th - et and wt1 - wt2, the factors whose zeros are the separable
     surfaces, each is a product, quotient or hypot: a few ulps at any
     scale, with no factor past float64 where the value is not (rho th is
-    theta rho a1 a2, rho et is eta / (sqrt(m1) sqrt(m2))).  One text serves
-    float64 arrays of one shape (numpy, under the caller's np.errstate)
-    and a point, on Python floats (params.point) equal to its entries in
-    an array bit for bit.  Nothing is checked (spectral_data gates).
+    theta rho a1 a2, rho et is eta / (sqrt(m1) sqrt(m2))).  The fields
+    of p are float64 arrays of one shape (or scalars), under the caller's
+    np.errstate; spectral_data runs the same text (_forms) on a point's
+    Python floats, equal to its entry in an array bit for bit.  Nothing
+    is checked (spectral_data gates).
     """
-    x = (p.m1, p.m2, p.wt1, p.wt2, p.theta, p.eta)
-    if any(map(np.ndim, x)):
-        return ClosedForms(*_forms(*x, ARRAYS))
-    return ClosedForms(*point(_forms, p))
+    return ClosedForms(*_forms(p.m1, p.m2, p.wt1, p.wt2, p.theta, p.eta, ARRAYS))
 
 
 # a collision below this delta/sigma: Delta/b^2 < 1e-10 restated, as
@@ -217,9 +215,13 @@ def build_omega(hm: np.ndarray) -> np.ndarray:
     return I_SIGMA_Y @ hm
 
 
-def _first_gate(f: ClosedForms) -> str | None:
-    """The message "name: value" of the first gate that fires at f, or None."""
-    return next((f"{name}: {detail()}" for name, fires, detail in gates(f) if fires), None)
+def _gated_forms(*x) -> ClosedForms:
+    """_forms(*x) as a ClosedForms, past the gates of spectral_data."""
+    f = ClosedForms(*_forms(*x))
+    for name, fires, detail in gates(f):
+        if fires:
+            raise DegenerateSpectrum(f"{name}: {detail()}")
+    return f
 
 
 def spectral_data(cp: CommutativeParams) -> ClosedForms:
@@ -230,23 +232,16 @@ def spectral_data(cp: CommutativeParams) -> ClosedForms:
     Raises DegenerateSpectrum at the singular Bopp map, where a frequency
     or a moment of V leaves float64, where the modes collide and where the
     correlation s passes CORRELATION_MAX, gated in that order; the message
-    names the gate and its value.  Where a moment divides by an l11 or l22
-    that underflowed to 0, the gates run on float64 scalars, which give
-    the inf of an array.  A CommutativeParams built by hand does not carry
-    p and raises TypeError.
+    names the gate and its value.  The forms and the gates run together on
+    Python floats, or where a division there meets an underflowed 0, both
+    on float64 scalars (params.point): the fields and the gate are those of
+    p's row in a scan.  A CommutativeParams built by hand does not carry p
+    and raises TypeError.
     """
     p = cp.physical
     if p is None:
         raise TypeError("spectral_data needs the record of to_commutative(p), which keeps p")
-    f = ClosedForms(*point(_forms, p))
-    try:
-        message = _first_gate(f)
-    except ZeroDivisionError:
-        with np.errstate(all="ignore"):
-            message = _first_gate(f._make(map(np.float64, f)))
-    if message:
-        raise DegenerateSpectrum(message)
-    return f
+    return ClosedForms(*point(_gated_forms, p))
 
 
 def _mode_rows(p: PhysicalParams, f: ClosedForms) -> tuple:
@@ -340,7 +335,12 @@ def _residuals(f: ClosedForms, e1, e2) -> dict:
     }
 
 
-def assemble_eigensystem(p: PhysicalParams, f: ClosedForms, *, tol: float = 1e-9) -> EigenSystem:
+def assemble_eigensystem(
+    p: PhysicalParams,
+    f: ClosedForms,
+    *,
+    tol: float = 1e-9,
+) -> EigenSystem:
     """Build Q^-1 (the rows u1, u1*, u2, u2*) for f = spectral_data(
     to_commutative(p)), verifying the identities on A / sigma and
     P = (e1, e1*, e2, e2*): eigvec_i = |A e_i - i lambda_i e_i| / (|A| |e_i|),

@@ -94,51 +94,48 @@ def _check_spec(spec: MeasurementSpec):
         raise NonPositiveParameter("angle", spec.angle, must="finite")
 
 
-def _gamma(spec: MeasurementSpec) -> tuple:
-    """(gamma00, gamma01, gamma11) of a checked spec, as Python floats."""
+def measurement_covariance(spec: MeasurementSpec) -> np.ndarray:
+    """Outcome covariance gamma of the measurement POVM (2x2)."""
     _check_spec(spec)
     c, s = math.cos(spec.angle), math.sin(spec.angle)
     a, b = 0.5 * spec.mu, 0.5 / spec.mu
-    return a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c
+    g01 = (a - b) * c * s
+    return np.array([[a * c * c + b * s * s, g01], [g01, a * s * s + b * c * c]])
 
 
-def measurement_covariance(spec: MeasurementSpec) -> np.ndarray:
-    """Outcome covariance gamma of the measurement POVM (2x2)."""
-    g00, g01, g11 = _gamma(spec)
-    return np.array([[g00, g01], [g01, g11]])
+def conditional_covariance(
+    v: CovarianceMatrix | np.ndarray, gamma: np.ndarray
+) -> np.ndarray:
+    """Covariance of mode 1 after the mode-2 measurement (Schur complement).
 
-
-def _schur(rows: list, g00: float, g01: float, g11: float) -> tuple:
-    """(k00, k01, k10, k11) of V1' = V1 - C G^-1 C^T from V's rows and
-    gamma's entries, on Python floats, by the LDL^T factors of the
-    symmetric positive definite G = V2 + gamma: pivots p = G00 and
-    d = G11 - (G01/p) G01, and C G^-1 C^T = c0 c0^T / p + y y^T / d,
-    y = c1 - (G01/p) c0, each term formed as c (c / p) so that no square
-    overflows.  G counts as singular unless d > 1e-14 G11, the ratio
-    det G / (G00 G11) in (0, 1] at any scale, never formed as a product;
-    a pivot that is NaN or not positive (inf - inf, at a far-squeezed
-    tilted gamma) counts too."""
+    Runs on floats, through the LDL^T factors of the symmetric positive
+    definite G = V2 + gamma: pivots p = G00 and d = G11 - (G01/p) G01, and
+    C G^-1 C^T = c0 c0^T / p + y y^T / d, y = c1 - (G01/p) c0, each term
+    formed as c (c / p) so that no square overflows.  G counts as singular
+    unless d > 1e-14 G11, the ratio det G / (G00 G11) in (0, 1] at any
+    scale, never formed as a product; a pivot that is NaN or not positive
+    (inf - inf, at a far-squeezed tilted gamma) counts too.
+    """
+    rows, g = np.asarray(v).tolist(), np.ravel(gamma).tolist()
     (a00, a01, c00, c01), (a10, a11, c10, c11) = rows[0], rows[1]
-    p, g01, g11 = rows[2][2] + g00, rows[2][3] + g01, rows[3][3] + g11
+    p, g01, g11 = rows[2][2] + g[0], rows[2][3] + g[1], rows[3][3] + g[3]
     l = g01 / p if p > 0.0 else math.nan  # a pivot that is NaN or <= 0: singular
     d = g11 - l * g01
     if not d > 1e-14 * g11:
         raise SingularMeasurement(f"V2 + gamma is singular (pivots {p:.3e}, {d:.3e})")
     y0, y1 = c01 - l * c00, c11 - l * c10
     t0, t1, z0, z1 = c00 / p, c10 / p, y0 / d, y1 / d
-    return (a00 - (c00 * t0 + y0 * z0), a01 - (c00 * t1 + y0 * z1),
-            a10 - (c10 * t0 + y1 * z0), a11 - (c10 * t1 + y1 * z1))
+    return np.array(
+        [
+            [a00 - (c00 * t0 + y0 * z0), a01 - (c00 * t1 + y0 * z1)],
+            [a10 - (c10 * t0 + y1 * z0), a11 - (c10 * t1 + y1 * z1)],
+        ]
+    )
 
 
-def conditional_covariance(v: CovarianceMatrix | np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Covariance of mode 1 after the mode-2 measurement (Schur complement,
-    by the LDL^T of V2 + gamma in _schur), as a 2x2 array."""
-    g = np.ravel(gamma).tolist()
-    k00, k01, k10, k11 = _schur(np.asarray(v).tolist(), g[0], g[1], g[3])
-    return np.array([[k00, k01], [k10, k11]])
-
-
-def extractable_work(v: CovarianceMatrix | np.ndarray, spec: MeasurementSpec) -> SzilardResult:
+def extractable_work(
+    v: CovarianceMatrix | np.ndarray, spec: MeasurementSpec
+) -> SzilardResult:
     """Average extractable work for a Gaussian measurement on mode 2.
 
     Raises UnphysicalCovariance for a covariance matrix that fails the
@@ -146,12 +143,11 @@ def extractable_work(v: CovarianceMatrix | np.ndarray, spec: MeasurementSpec) ->
     for mu = 0, SingularMeasurement if V2 + gamma cannot be inverted and
     DegenerateSpectrum when the work leaves float64 (kbt near its top).
     """
-    gamma = _gamma(spec)  # checks spec before V
+    gamma = measurement_covariance(spec)  # checks spec before V
     m = np.asarray(v)
     require_physical(m)
-    rows = m.tolist()
-    k00, k01, k10, k11 = _schur(rows, *gamma)
-    (a00, a01, c00, c01), (a10, a11, c10, c11) = rows[0], rows[1]
+    (k00, k01), (k10, k11) = conditional_covariance(m, gamma).tolist()
+    (a00, a01, c00, c01), (a10, a11, c10, c11) = m[:2].tolist()
     det_before = a00 * a11 - a01 * a10
     det_after = k00 * k11 - k01 * k10
     if not det_after > 0.0:  # the Schur step lost V's digits

@@ -30,8 +30,8 @@ from ncho import (
     wigner_form,
 )
 from ncho.gaussian import covariance_matrix
-from ncho.params import ARRAYS, _bopp_coefficients
-from ncho.symplectic import closed_forms, gates
+from ncho.params import ARRAYS, _bopp_coefficients, point
+from ncho.symplectic import _forms, closed_forms, gates
 
 from conftest import corner_grid, extreme_grid, outside_float64
 
@@ -295,15 +295,15 @@ def _bits(x):
 
 @pytest.mark.parametrize("sample", ["corner_grid", "log_u_1e308"])
 def test_float_path_equals_array_path(sample):
-    """Each point once on Python floats (closed_forms, spectral_data and
-    to_commutative of the point) and once inside one 1-D array of all the
-    points (closed_forms and the Bopp coefficients on arrays, as scan runs
-    them): every field is a Python float equal to its array entry bit for
-    bit, and where degenerate() fires on the array spectral_data raises
-    the first gate that fires there, by name.  No other error and no
-    RuntimeWarning: the float path reaches inf and NaN where a division
-    by an underflowed r1 r2, l11 or lambda1 raises, through the numpy
-    route."""
+    """Each point once on Python floats (the closed forms as spectral_data
+    runs them, spectral_data and to_commutative) and once inside one 1-D
+    array of all the points (closed_forms and the Bopp coefficients on
+    arrays, as scan runs them): every field is a Python float equal to its
+    array entry bit for bit, and where degenerate() fires on the array
+    spectral_data raises the first gate that fires there, by name.  No
+    other error and no RuntimeWarning: the float path reaches inf and NaN
+    where a division by an underflowed r1 r2, l11 or lambda1 raises,
+    through the numpy route."""
     points = corner_grid() if sample == "corner_grid" else log_u_draws(9, 3000, 1e-308, 1e308)
     columns = [np.array(c) for c in zip(*(vars(p).values() for p in points))]
     with np.errstate(all="ignore"):  # as in scan; the gates reject what overflowed
@@ -312,7 +312,7 @@ def test_float_path_equals_array_path(sample):
         bopp = _bopp_coefficients(*columns, ARRAYS)
     gated = 0
     for i, p in enumerate(points):
-        f = closed_forms(p)
+        f = point(_forms, p)
         assert all(type(v) is float for v in f), p
         assert list(map(_bits, f)) == [_bits(v[i]) for v in fa], p
         cp = to_commutative(p)
